@@ -32,7 +32,6 @@ from .params import ParameterLayout, ParameterVector
 from .protocol import (
     ClientActor,
     GlobalModelState,
-    KeyRegistry,
     Server,
     SignedUpdate,
     VerificationVerdict,
@@ -72,7 +71,6 @@ __all__ = [
     "ParameterVector",
     "ClientActor",
     "GlobalModelState",
-    "KeyRegistry",
     "Server",
     "SignedUpdate",
     "VerificationVerdict",

@@ -258,15 +258,12 @@ class AttackPlan:
                 for i in picks:
                     msg = self.captured[i]
                     out.append(Delivery(payload=msg, source=msg.client_id, honest=False))
-            for d in deliveries:
-                if isinstance(d.payload, SignedUpdate):
-                    self.captured.append(d.payload)
+            self.captured.extend(d.payload for d in deliveries)
             return out
         return deliveries
 
     def _tampered(self, delivery: Delivery) -> Delivery:
-        payload = delivery.payload
-        blob = payload.to_wire_bytes() if isinstance(payload, SignedUpdate) else bytes(payload)
+        blob = delivery.payload.to_wire_bytes()
         bit = int(self._rng.integers(0, 8 * len(blob)))
         # the sender was honest; the corruption happened on the wire
         return Delivery(payload=tamper_bytes(blob, bit), source=delivery.source, honest=delivery.honest)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import crypto
 
@@ -134,29 +134,6 @@ class ControlFlowGraph:
             frontier = nxt
         if self.end not in seen:
             raise ValueError("end label unreachable from start")
-
-    @classmethod
-    def from_strings(
-        cls,
-        nodes: Iterable[str],
-        edges: Iterable[str],
-        start: str,
-        end: str,
-    ) -> "ControlFlowGraph":
-        """Build from config text: node names plus 'FROM->TO' edge strings."""
-        node_set = frozenset(CheckpointLabel(name.strip()) for name in nodes)
-        edge_set = set()
-        for text in edges:
-            if "->" not in text:
-                raise ValueError(f"edge {text!r} is not of the form FROM->TO")
-            src, dst = (part.strip() for part in text.split("->", 1))
-            edge_set.add((CheckpointLabel(src), CheckpointLabel(dst)))
-        return cls(
-            nodes=node_set,
-            edges=frozenset(edge_set),
-            start=CheckpointLabel(start.strip()),
-            end=CheckpointLabel(end.strip()),
-        )
 
 
 def _chain(labels: Sequence[CheckpointLabel]) -> frozenset[tuple[CheckpointLabel, CheckpointLabel]]:

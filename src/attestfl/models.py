@@ -273,6 +273,8 @@ def local_train(model: Model, data: Dataset, cfg: TrainingConfig) -> tuple[Param
 def evaluate(model: Model, data: Dataset) -> float:
     """Accuracy under argmax prediction; ties resolve to the lowest class index."""
     _require_data(model, data)
-    logits, _ = _logits(model, data.features)
+    # huge parameters overflow to inf or nan; argmax still decides, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, _ = _logits(model, data.features)
     predicted = np.argmax(logits, axis=1)  # argmax takes the first maximum
     return float(np.mean(predicted == data.labels))

@@ -115,13 +115,5 @@ class ParameterVector:
         self._check_combinable(other)
         return ParameterVector._wrap(self.values + other.values, self.layout)
 
-    def sub(self, other: "ParameterVector") -> "ParameterVector":
-        self._check_combinable(other)
-        return ParameterVector._wrap(self.values - other.values, self.layout)
-
     def scale(self, factor: float) -> "ParameterVector":
         return ParameterVector._wrap(self.values * float(factor), self.layout)
-
-    def allclose(self, other: "ParameterVector", atol: float = 0.0, rtol: float = 0.0) -> bool:
-        self._check_combinable(other)
-        return bool(np.allclose(self.values, other.values, atol=atol, rtol=rtol))

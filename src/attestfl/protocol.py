@@ -11,7 +11,8 @@ One round, from the server's point of view:
   4. surviving updates are combined by a data-size-weighted mean and added
      to the global parameters
   5. the server checkpoints its own pipeline and self-verifies the trace
-     before committing the new state
+     before committing the new state and the round's audit records; a
+     round that aborts leaves the server exactly as it was
 
 Verification order matters: a forged sender must be rejected as
 unknown-identity even when its payload is internally consistent, and a
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -62,8 +63,6 @@ __all__ = [
     "DuplicateClientError",
     "AggregationError",
     "RegistryEntry",
-    "KeyRegistry",
-    "register_client",
     "VerificationVerdict",
     "SignedUpdate",
     "build_signed_update",
@@ -110,39 +109,6 @@ class RegistryEntry:
     client_id: str
     sig_public: crypto.RsaPublicKey
     dh_public: int
-
-
-@dataclass(frozen=True)
-class KeyRegistry:
-    """Immutable id -> key-material map; registration returns a new registry."""
-
-    entries: tuple[RegistryEntry, ...] = ()
-
-    def get(self, client_id: str) -> Optional[RegistryEntry]:
-        for entry in self.entries:
-            if entry.client_id == client_id:
-                return entry
-        return None
-
-    def __contains__(self, client_id: str) -> bool:
-        return self.get(client_id) is not None
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def register_client(
-    registry: KeyRegistry,
-    client_id: str,
-    sig_public: crypto.RsaPublicKey,
-    dh_public: int,
-) -> KeyRegistry:
-    if not client_id:
-        raise ValueError("client id must be non-empty")
-    if client_id in registry:
-        raise DuplicateClientError(f"client {client_id!r} already registered")
-    entry = RegistryEntry(client_id=client_id, sig_public=sig_public, dh_public=dh_public)
-    return KeyRegistry(entries=registry.entries + (entry,))
 
 
 # --------------------------------------------------------------------------- #
@@ -489,8 +455,26 @@ def _reject(reason: str) -> tuple[VerificationVerdict, None]:
     return VerificationVerdict(accepted=False, reason=reason), None
 
 
+def _open(
+    msg: SignedUpdate,
+    layout,
+    session_key: bytes,
+) -> Optional[tuple[bytes, tuple[int, str, int], ParameterVector]]:
+    """Unseal a sealed payload into (canonical blob, (round, id, size), update).
+
+    None when the tag fails, the blob does not decode, or its values are the
+    wrong count or not finite.
+    """
+    try:
+        blob = crypto.decrypt(session_key, msg.envelope)
+        values, *header = crypto.canonical_decode(blob)
+        return blob, tuple(header), ParameterVector(values=values, layout=layout)
+    except (ValueError, crypto.CryptoError):
+        return None
+
+
 def server_verify(
-    registry: KeyRegistry,
+    registry: Mapping[str, RegistryEntry],
     msg: SignedUpdate,
     *,
     layout,
@@ -504,22 +488,13 @@ def server_verify(
     Check order is fixed: unseal, identity, digest, signature, freshness,
     attestation.  The first failure decides the reason.
     """
-    update = msg.update
+    update, blob = msg.update, None
     if msg.envelope is not None and session_key is not None:
-        try:
-            blob = crypto.decrypt(session_key, msg.envelope)
-        except crypto.IntegrityError:
-            return _reject(REASON_DECRYPT_FAILURE)
-        try:
-            values, blob_round, blob_id, blob_size = crypto.canonical_decode(blob)
-        except (ValueError, crypto.CryptoError):
-            return _reject(REASON_DECRYPT_FAILURE)
+        opened = _open(msg, layout, session_key)
         # header fields travel in the clear; the sealed blob must agree
-        if (blob_round, blob_id, blob_size) != (msg.round, msg.client_id, msg.data_size):
+        if opened is None or opened[1] != (msg.round, msg.client_id, msg.data_size):
             return _reject(REASON_DECRYPT_FAILURE)
-        if values.size != layout.size:
-            return _reject(REASON_DECRYPT_FAILURE)
-        update = ParameterVector(values=values, layout=layout)
+        blob, _, update = opened
 
     entry = registry.get(msg.client_id)
     if entry is None:
@@ -528,7 +503,8 @@ def server_verify(
         # sealed message from a registered sender with no session key
         return _reject(REASON_DECRYPT_FAILURE)
 
-    blob = crypto.canonical_encode(update.values, msg.round, msg.client_id, msg.data_size)
+    if blob is None:
+        blob = crypto.canonical_encode(update.values, msg.round, msg.client_id, msg.data_size)
     if crypto.sha256(blob) != msg.digest:
         return _reject(REASON_DIGEST_MISMATCH)
     if not crypto.verify(msg.digest, msg.signature, entry.sig_public):
@@ -588,7 +564,8 @@ def aggregate(updates: Sequence[tuple[str, int, ParameterVector]]) -> Optional[P
 
 @dataclass
 class Server:
-    """Holds the registry, global model state, and per-round bookkeeping."""
+    """Holds the registry (client id -> keys), session keys, global model
+    state and the audit log.  Freshness state lives for one round only."""
 
     architecture: Model
     state: GlobalModelState
@@ -600,9 +577,8 @@ class Server:
     server_graph: ControlFlowGraph = DEFAULT_SERVER_GRAPH
     security: bool = True
     server_id: str = "server"
-    registry: KeyRegistry = field(default_factory=KeyRegistry)
+    registry: dict[str, RegistryEntry] = field(default_factory=dict)
     session_keys: dict[str, bytes] = field(default_factory=dict)
-    accepted_pairs: set[tuple[str, int]] = field(default_factory=set)
     audit_log: list[AuditRecord] = field(default_factory=list)
 
     @classmethod
@@ -630,11 +606,16 @@ class Server:
 
     def register(self, client: ClientActor) -> None:
         """Enroll a client: store its public keys, agree on a session key."""
-        self.registry = register_client(
-            self.registry, client.client_id, client.sig_pair.public, client.dh_public
+        cid = client.client_id
+        if not cid:
+            raise ValueError("client id must be non-empty")
+        if cid in self.registry:
+            raise DuplicateClientError(f"client {cid!r} already registered")
+        self.registry[cid] = RegistryEntry(
+            client_id=cid, sig_public=client.sig_pair.public, dh_public=client.dh_public
         )
         shared_at_server = crypto.dh_shared(self.dh_private, client.dh_public, self.dh_params)
-        self.session_keys[client.client_id] = crypto.kdf(shared_at_server)
+        self.session_keys[cid] = crypto.kdf(shared_at_server)
         shared_at_client = crypto.dh_shared(client.dh_private, self.dh_public, self.dh_params)
         client.session_key = crypto.kdf(shared_at_client)
 
@@ -643,8 +624,13 @@ def _ingest(
     server: Server,
     delivery: Delivery,
     round_no: int,
+    fresh: set[tuple[str, int]],
 ) -> tuple[MessageOutcome, Optional[tuple[str, int, ParameterVector]], Optional[AuditRecord]]:
-    """Verify one delivery; returns (outcome, accepted item or None, audit or None)."""
+    """Verify one delivery; returns (outcome, accepted item or None, audit or None).
+
+    `fresh` holds the (id, round) pairs accepted so far this round; an
+    accepted delivery adds its pair.  The server itself is not changed.
+    """
     layout = server.architecture.params.layout
     payload = delivery.payload
     if isinstance(payload, (bytes, bytearray)):
@@ -674,7 +660,7 @@ def _ingest(
             graph=server.client_graph,
             session_key=session_key,
             current_round=round_no,
-            accepted_pairs=server.accepted_pairs,
+            accepted_pairs=fresh,
         )
     else:
         # checks disabled: everything that can be opened is taken at face value
@@ -691,7 +677,7 @@ def _ingest(
         return outcome, None, None
 
     assert update is not None
-    server.accepted_pairs.add((msg.client_id, msg.round))
+    fresh.add((msg.client_id, msg.round))
     audit = AuditRecord(
         round=round_no,
         client_id=msg.client_id,
@@ -710,16 +696,10 @@ def _accept_unverified(
     """Security-off path: open the payload if possible, accept whatever it says."""
     if msg.update is not None:
         return VerificationVerdict(accepted=True, reason=REASON_OK), msg.update
-    if session_key is None:
+    opened = None if session_key is None else _open(msg, layout, session_key)
+    if opened is None:
         return _reject(REASON_DECRYPT_FAILURE)
-    try:
-        blob = crypto.decrypt(session_key, msg.envelope)
-        values, _, _, _ = crypto.canonical_decode(blob)
-    except (ValueError, crypto.CryptoError):
-        return _reject(REASON_DECRYPT_FAILURE)
-    if values.size != layout.size:
-        return _reject(REASON_DECRYPT_FAILURE)
-    return VerificationVerdict(accepted=True, reason=REASON_OK), ParameterVector(values=values, layout=layout)
+    return VerificationVerdict(accepted=True, reason=REASON_OK), opened[2]
 
 
 def _evaluate_global(server: Server, eval_data: Optional[Dataset]) -> float:
@@ -775,18 +755,19 @@ def run_round(
             model_updated=False,
         )
 
+    # everything below is staged and committed only after the self-check
     outcomes: list[MessageOutcome] = []
     accepted: list[tuple[str, int, ParameterVector]] = []
     round_audit: list[AuditRecord] = []
+    fresh: set[tuple[str, int]] = set()
     for delivery in deliveries:
         slog = _checkpoint(slog, CheckpointLabel.SERVER_RECEIVED, sid, round_no)
-        outcome, item, audit = _ingest(server, delivery, round_no)
+        outcome, item, audit = _ingest(server, delivery, round_no, fresh)
         outcomes.append(outcome)
         if item is not None:
             accepted.append(item)
         if audit is not None:
             round_audit.append(audit)
-            server.audit_log.append(audit)
 
     slog = _checkpoint(slog, CheckpointLabel.SERVER_VERIFIED, sid, round_no)
     delta = aggregate(accepted)
@@ -805,6 +786,7 @@ def run_round(
             f"server trace failed self-verification at entry {self_check.index}: {self_check.reason}"
         )
     server.state = new_state
+    server.audit_log.extend(round_audit)
     accuracy = _evaluate_global(server, eval_data)
 
     verification, authentication, incidents = reporting.compute_metrics(outcomes, round_audit)

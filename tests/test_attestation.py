@@ -146,48 +146,34 @@ def test_verify_chain_detects_mutated_entry():
 
 
 # --------------------------------------------------------------------------- #
-# graphs from config
+# graph construction
 # --------------------------------------------------------------------------- #
 
+START, TRAIN, END = CheckpointLabel.ROUND_START, CheckpointLabel.TRAIN_BEGIN, CheckpointLabel.ROUND_END
 
-def test_graph_from_strings():
-    g = ControlFlowGraph.from_strings(
-        nodes=["ROUND_START", "TRAIN_BEGIN", "ROUND_END"],
-        edges=["ROUND_START->TRAIN_BEGIN", "TRAIN_BEGIN->ROUND_END"],
-        start="ROUND_START",
-        end="ROUND_END",
+
+def test_graph_edges_decide_cfa_check():
+    g = ControlFlowGraph(
+        nodes=frozenset({START, TRAIN, END}),
+        edges=frozenset({(START, TRAIN), (TRAIN, END)}),
+        start=START,
+        end=END,
     )
-    assert cfa_check(g, CheckpointLabel.ROUND_START, CheckpointLabel.TRAIN_BEGIN) == 1
-    assert cfa_check(g, CheckpointLabel.ROUND_START, CheckpointLabel.ROUND_END) == 0
+    assert cfa_check(g, START, TRAIN) == 1
+    assert cfa_check(g, START, END) == 0
 
 
 def test_graph_rejects_edge_outside_nodes():
     with pytest.raises(ValueError):
-        ControlFlowGraph.from_strings(
-            nodes=["ROUND_START", "ROUND_END"],
-            edges=["ROUND_START->TRAIN_BEGIN"],
-            start="ROUND_START",
-            end="ROUND_END",
+        ControlFlowGraph(
+            nodes=frozenset({START, END}), edges=frozenset({(START, TRAIN)}), start=START, end=END
         )
 
 
 def test_graph_rejects_unreachable_end():
     with pytest.raises(ValueError):
-        ControlFlowGraph.from_strings(
-            nodes=["ROUND_START", "TRAIN_BEGIN", "ROUND_END"],
-            edges=["TRAIN_BEGIN->ROUND_END"],
-            start="ROUND_START",
-            end="ROUND_END",
-        )
-
-
-def test_graph_rejects_unknown_label():
-    with pytest.raises(ValueError):
-        ControlFlowGraph.from_strings(
-            nodes=["NOT_A_LABEL"],
-            edges=[],
-            start="NOT_A_LABEL",
-            end="NOT_A_LABEL",
+        ControlFlowGraph(
+            nodes=frozenset({START, TRAIN, END}), edges=frozenset({(TRAIN, END)}), start=START, end=END
         )
 
 

@@ -321,7 +321,7 @@ def test_build_simulation_sybil_plan():
     sim = build_simulation(cfg)
     assert sim.plan is not None
     assert len(sim.plan.sybils) == 3
-    registered = {entry.client_id for entry in sim.server.registry.entries}
+    registered = set(sim.server.registry)
     assert registered == {"client-0", "client-1", "client-2"}
 
 

@@ -80,7 +80,6 @@ def test_parameter_arithmetic_and_layout_guard():
     a = ParameterVector(np.array([1.0, 2.0]), layout)
     b = ParameterVector(np.array([0.5, -1.0]), layout)
     assert np.array_equal(a.add(b).values, [1.5, 1.0])
-    assert np.array_equal(a.sub(b).values, [0.5, 3.0])
     assert np.array_equal(a.scale(2.0).values, [2.0, 4.0])
     other = ParameterVector(np.array([0.0, 0.0]), ParameterLayout((("v", (2,)),)))
     with pytest.raises(LayoutError):

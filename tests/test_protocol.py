@@ -33,7 +33,6 @@ from attestfl.protocol import (
     Delivery,
     DuplicateClientError,
     GlobalModelState,
-    KeyRegistry,
     ProtocolError,
     Server,
     SignedUpdate,
@@ -43,7 +42,6 @@ from attestfl.protocol import (
     apply_global,
     build_signed_update,
     client_round,
-    register_client,
     run_round,
     server_verify,
 )
@@ -109,13 +107,17 @@ def test_register_rejects_duplicate_id():
         server.register(clients[0])
 
 
-def test_registry_is_functional():
-    reg = KeyRegistry()
-    pair = crypto.keygen_signature(key_bits=1024, seed=50)
-    reg2 = register_client(reg, "a", pair.public, 8)
-    assert len(reg) == 0 and len(reg2) == 1
-    assert reg2.get("a").sig_public == pair.public
-    assert reg2.get("missing") is None
+def test_registry_is_a_dict_of_entries():
+    server, clients = make_world()
+    assert list(server.registry) == [c.client_id for c in clients]
+    assert server.registry["client-1"].sig_public == clients[1].sig_pair.public
+    assert server.registry.get("missing") is None
+    nameless = ClientActor.create(
+        "", SHARDS[0], ARCH, TRAIN_CFG, key_seed=50, key_bits=1024, dh_params=crypto.TOY_DH_GROUP
+    )
+    with pytest.raises(ValueError):
+        server.register(nameless)
+    assert len(server.registry) == len(server.session_keys) == 3
 
 
 def test_session_keys_agree_across_both_sides():
@@ -594,3 +596,77 @@ def test_two_worlds_same_seeds_run_identically():
         assert rep_a.accuracy == rep_b.accuracy
     assert server_a.state.params.values.tobytes() == server_b.state.params.values.tobytes()
     assert server_a.state.history == server_b.state.history
+
+
+# ---- intake robustness: non-finite sealed payloads, aborted rounds ---- #
+
+
+def sealed_nan_message(client, server, round_no=0):
+    """A correctly signed and sealed message whose parameters are all NaN."""
+    honest = honest_message(client, server, round_no)
+    blob = crypto.canonical_encode(np.full(LAYOUT.size, np.nan), round_no, client.client_id, client.data.size)
+    digest = crypto.sha256(blob)
+    nonce = crypto.derive_nonce(client.client_id, round_no)
+    return SignedUpdate(
+        client_id=client.client_id,
+        round=round_no,
+        data_size=client.data.size,
+        update=None,
+        envelope=crypto.encrypt(client.session_key, nonce, blob),
+        digest=digest,
+        signature=crypto.sign(digest, client.sig_pair.private),
+        attestation=honest.attestation,
+    )
+
+
+@pytest.mark.parametrize("security", [True, False])
+def test_sealed_non_finite_payload_is_decrypt_failure(security):
+    server, clients = make_world(security=security, encrypt=True)
+    forged = sealed_nan_message(clients[0], server)
+    verdict, update = verify_with(server, forged)
+    assert (verdict.reason, update) == (reporting.REASON_DECRYPT_FAILURE, None)
+
+    class SwapIn:
+        def transform(self, deliveries, round_no, params):
+            return [Delivery(payload=forged, source="client-0", honest=False)] + deliveries[1:]
+
+    report = run_round(server, clients, plan=SwapIn(), eval_data=HOLDOUT)
+    assert [o.reason for o in report.outcomes] == [reporting.REASON_DECRYPT_FAILURE] + [reporting.REASON_OK] * 2
+    assert report.accepted_count == 2
+
+
+def test_aborted_round_leaves_server_unchanged():
+    from copy import copy
+    from dataclasses import replace as dc_replace
+
+    server, clients = make_world(security=False)
+    huge = dc_replace(honest_message(clients[0], server), update=vector(1e308, 0, 0, 0, 0, 0))
+
+    class Overflow:
+        # a lone 1e308 update is applied in round 0; the second overflows
+        def transform(self, deliveries, round_no, params):
+            return [Delivery(payload=dc_replace(huge, round=round_no), source="client-0", honest=False)]
+
+    run_round(server, clients, plan=Overflow(), eval_data=HOLDOUT)
+    assert len(server.audit_log) == 1
+    state = server.state
+    before = {name: copy(value) for name, value in vars(server).items()}
+    with pytest.raises(ProtocolError):
+        run_round(server, clients, plan=Overflow(), eval_data=HOLDOUT)
+    assert server.state is state
+    assert vars(server) == before
+
+
+def test_only_audit_log_and_history_grow():
+    server, clients = make_world()
+
+    def sizes():
+        return {name: len(value) for name, value in vars(server).items() if hasattr(value, "__len__")}
+
+    run_round(server, clients, eval_data=HOLDOUT)
+    first = sizes()
+    for _ in range(3):
+        run_round(server, clients, eval_data=HOLDOUT)
+    grown = {name for name, size in sizes().items() if size != first[name]}
+    assert grown == {"audit_log"}
+    assert len(server.state.history) == 4
