@@ -90,18 +90,22 @@ class Checkpoint:
 
     @classmethod
     def decode(cls, blob: bytes) -> tuple["Checkpoint", int]:
-        """Parse one encoded checkpoint; returns (checkpoint, bytes consumed)."""
+        """Parse one encoded checkpoint; returns (checkpoint, bytes consumed).
+
+        Raises ValueError if any field runs past the end of `blob`.
+        """
         pos = 0
-        label_len = int.from_bytes(blob[pos : pos + 2], "big")
-        pos += 2
-        label = CheckpointLabel(blob[pos : pos + label_len].decode("utf-8"))
-        pos += label_len
-        actor_len = int.from_bytes(blob[pos : pos + 2], "big")
-        pos += 2
-        actor = blob[pos : pos + actor_len].decode("utf-8")
-        pos += actor_len
-        round_no = int.from_bytes(blob[pos : pos + 4], "big")
-        pos += 4
+
+        def take(n: int) -> bytes:
+            nonlocal pos
+            if pos + n > len(blob):
+                raise ValueError("truncated checkpoint")
+            pos += n
+            return blob[pos - n : pos]
+
+        label = CheckpointLabel(take(int.from_bytes(take(2), "big")).decode("utf-8"))
+        actor = take(int.from_bytes(take(2), "big")).decode("utf-8")
+        round_no = int.from_bytes(take(4), "big")
         return cls(label=label, actor=actor, round=round_no), pos
 
 
@@ -217,7 +221,10 @@ class CheckpointLog:
 
 
 def record_checkpoint(log: CheckpointLog, checkpoint: Checkpoint) -> CheckpointLog:
-    """Return a new log with `checkpoint` appended; prior entries are shared."""
+    """Return a new log with `checkpoint` appended.
+
+    The entries tuple is copied, so each append costs O(len(log)).
+    """
     digest = crypto.sha256(log.final_digest + checkpoint.encode())
     return CheckpointLog(entries=log.entries + (LogEntry(checkpoint, digest),))
 

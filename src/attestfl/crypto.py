@@ -2,11 +2,11 @@
 
 Everything here is deterministic given its seed arguments, which keeps whole
 simulation runs reproducible down to the byte.  The constructions are
-simulation-grade: textbook RSA with fixed padding, classic finite-field
-Diffie-Hellman, and a hash-counter stream cipher with a keyed-hash tag.  None
-of this should guard real traffic; it exists so the protocol layer has honest
-cryptographic behaviour (forgeries fail, tampering is detected) without
-nondeterministic key material.
+simulation-grade: textbook RSA with fixed padding (signing uses the CRT form
+of the private key), classic finite-field Diffie-Hellman, and a hash-counter
+stream cipher with a keyed-hash tag.  None of this should guard real traffic;
+it exists so the protocol layer has honest cryptographic behaviour (forgeries
+fail, tampering is detected) without nondeterministic key material.
 
 Byte conventions are big-endian throughout.  `canonical_encode` defines the
 injective byte layout that both digests and signatures commit to.
@@ -266,14 +266,17 @@ class RsaPublicKey:
         pos += ident_len
         n_len = int.from_bytes(blob[pos : pos + 4], "big")
         pos += 4
-        n = int.from_bytes(blob[pos : pos + n_len], "big")
+        n_oct = blob[pos : pos + n_len]
         pos += n_len
         e_len = int.from_bytes(blob[pos : pos + 4], "big")
         pos += 4
-        e = int.from_bytes(blob[pos : pos + e_len], "big")
+        e_oct = blob[pos : pos + e_len]
         pos += e_len
         if pos != len(blob):
             raise ValueError("trailing bytes in public key")
+        if n_oct[:1] == b"\x00" or e_oct[:1] == b"\x00":
+            raise ValueError("leading zero octet in public key integer")
+        n, e = int.from_bytes(n_oct, "big"), int.from_bytes(e_oct, "big")
         if scheme != RSA_SCHEME:
             raise UnsupportedSchemeError(f"unknown scheme {scheme!r}")
         return cls(n=n, e=e, scheme=scheme)
@@ -281,8 +284,15 @@ class RsaPublicKey:
 
 @dataclass(frozen=True)
 class RsaPrivateKey:
+    """CRT form of the private key (RFC 8017 §3.2): dp = d mod (p-1),
+    dq = d mod (q-1), qinv = q^-1 mod p."""
+
     n: int
-    d: int
+    p: int
+    q: int
+    dp: int
+    dq: int
+    qinv: int
     scheme: str = RSA_SCHEME
 
 
@@ -310,12 +320,11 @@ def keygen_signature(scheme: str = RSA_SCHEME, key_bits: int = 2048, seed: int =
     while q == p:
         q = _gen_prime(half, rng)
     n = p * q
-    lam = (p - 1) * (q - 1) // math.gcd(p - 1, q - 1)
-    d = pow(_E, -1, lam)
-    return SignatureKeyPair(
-        private=RsaPrivateKey(n=n, d=d),
-        public=RsaPublicKey(n=n, e=_E),
+    # e^-1 mod (p-1) equals d mod (p-1) for d = e^-1 mod lcm(p-1, q-1)
+    private = RsaPrivateKey(
+        n=n, p=p, q=q, dp=pow(_E, -1, p - 1), dq=pow(_E, -1, q - 1), qinv=pow(q, -1, p)
     )
+    return SignatureKeyPair(private=private, public=RsaPublicKey(n=n, e=_E))
 
 
 def _emsa_encode(digest: bytes, length: int) -> bytes:
@@ -328,14 +337,21 @@ def _emsa_encode(digest: bytes, length: int) -> bytes:
 
 
 def sign(digest: bytes, private: RsaPrivateKey) -> bytes:
-    """Deterministic signature over a 32-byte digest."""
+    """Deterministic signature over a 32-byte digest.
+
+    RSASP1 in CRT form (RFC 8017 §5.1.2): two half-size exponentiations
+    joined by Garner recombination, equal to em^d mod n.
+    """
     if private.scheme != RSA_SCHEME:
         raise UnsupportedSchemeError(f"unknown scheme {private.scheme!r}")
     if len(digest) != DIGEST_LEN:
         raise ValueError("digest must be 32 bytes")
     k = (private.n.bit_length() + 7) // 8
     em = int.from_bytes(_emsa_encode(digest, k), "big")
-    return pow(em, private.d, private.n).to_bytes(k, "big")
+    s1 = pow(em, private.dp, private.p)
+    s2 = pow(em, private.dq, private.q)
+    s = s2 + private.q * (private.qinv * (s1 - s2) % private.p)
+    return s.to_bytes(k, "big")
 
 
 def verify(digest: bytes, signature: bytes, public: RsaPublicKey) -> bool:

@@ -121,6 +121,17 @@ def test_chain_first_entry_matches_manual_hash():
     assert log.final_digest == expected
 
 
+@pytest.mark.parametrize("actor", ["server", "client-00", ""])
+def test_checkpoint_decode_is_total_on_prefixes(actor):
+    blob = Checkpoint(CheckpointLabel.TRAIN_END, actor, 7).encode()
+    decoded, used = Checkpoint.decode(blob)
+    assert used == len(blob)
+    assert decoded.encode() == blob
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError):
+            Checkpoint.decode(blob[:cut])
+
+
 def test_chain_links_consecutive_entries():
     log = build_log(CLIENT_PATH[:3])
     d0 = log.entries[0].chain_digest

@@ -9,6 +9,7 @@ arithmetic.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -208,10 +209,100 @@ def test_signature_bit_flips_rejected(digest, bit):
 _CACHED_PAIR = crypto.keygen_signature(key_bits=1024, seed=99)
 
 
+# SHA-256 of sign(sha256(bytes([i])), keygen_signature(key_bits=bits, seed=5))
+# for i in 0..3, computed with the plain pow(em, d, n) signer that preceded
+# RSA-CRT signing. PKCS#1 v1.5 signatures are unique per key and digest, so
+# any correct signer must reproduce these bytes.
+SIGNATURE_PINS = {
+    1024: (
+        "d773d25fdc678c68d787e69d149df7725d6bebbb674ee58fbf012aaf926ac4d4",
+        "5923bb1115916ad0d4dc2d3c9946a739fe1e1872dabdd71a7e85773cfb1e812f",
+        "c23b66b299f274cb2b1d9d56663f84ab62d2c22c3cfe18aca4fd35ef3a2f2191",
+        "9566ad598e55db56af2383cdfa4f2a30d966b435a21b3e1e1f2af6080f383b18",
+    ),
+    2048: (
+        "789f66f76be9c9b2f56b3bffb967374c4898af2762ca5f766577d31ab9099ea4",
+        "bcbd379151059ae3050dde4d03b3aedf8547e2f7b4984b3f22148138bd30ef78",
+        "3af38cde15db319ff047e1490a9130dfbf2fad64c12f46ec5a1af7535e8348de",
+        "f9cc16d8356b98405af5264eced013b822814a7adc00f80b87c2b04fcd8ffdbe",
+    ),
+}
+
+
+@pytest.mark.parametrize("bits", sorted(SIGNATURE_PINS))
+def test_signature_known_answers(bits):
+    pair = crypto.keygen_signature(key_bits=bits, seed=5)
+    got = tuple(
+        hashlib.sha256(crypto.sign(crypto.sha256(bytes([i])), pair.private)).hexdigest()
+        for i in range(4)
+    )
+    assert got == SIGNATURE_PINS[bits]
+
+
+@pytest.mark.parametrize("bits", [1024, 2048])
+def test_signatures_match_cryptography_package(bits):
+    rsa = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.rsa")
+    from cryptography.hazmat.primitives.asymmetric.padding import PKCS1v15
+    from cryptography.hazmat.primitives.asymmetric.utils import Prehashed
+    from cryptography.hazmat.primitives.hashes import SHA256
+
+    pair = crypto.keygen_signature(key_bits=bits, seed=5)
+    priv, pub = pair.private, pair.public
+    lam = (priv.p - 1) * (priv.q - 1) // math.gcd(priv.p - 1, priv.q - 1)
+    d = pow(pub.e, -1, lam)
+    crt = (rsa.rsa_crt_dmp1(d, priv.p), rsa.rsa_crt_dmq1(d, priv.q), rsa.rsa_crt_iqmp(priv.p, priv.q))
+    assert (priv.dp, priv.dq, priv.qinv) == crt
+
+    public_numbers = rsa.RSAPublicNumbers(pub.e, pub.n)
+    oracle = rsa.RSAPrivateNumbers(priv.p, priv.q, d, *crt, public_numbers).private_key()
+    for i in range(4):
+        digest = crypto.sha256(bytes([i]))
+        ours = crypto.sign(digest, priv)
+        public_numbers.public_key().verify(ours, digest, PKCS1v15(), Prehashed(SHA256()))
+        assert oracle.sign(digest, PKCS1v15(), Prehashed(SHA256())) == ours
+
+
 def test_public_key_serialization_round_trip(keypair):
     blob = keypair.public.to_bytes()
     restored = crypto.RsaPublicKey.from_bytes(blob)
     assert restored == keypair.public
+
+
+def test_public_key_rejects_leading_zero_octets(keypair):
+    pub = keypair.public
+    ident = pub.scheme.encode("utf-8")
+    n_oct = pub.n.to_bytes(128, "big")
+    e_oct = pub.e.to_bytes(3, "big")
+    head = len(ident).to_bytes(2, "big") + ident
+
+    def blob(n_part: bytes, e_part: bytes) -> bytes:
+        return head + len(n_part).to_bytes(4, "big") + n_part + len(e_part).to_bytes(4, "big") + e_part
+
+    assert crypto.RsaPublicKey.from_bytes(blob(n_oct, e_oct)) == pub
+    for n_part, e_part in ((b"\x00" + n_oct, e_oct), (n_oct, b"\x00" + e_oct)):
+        with pytest.raises(ValueError):
+            crypto.RsaPublicKey.from_bytes(blob(n_part, e_part))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_public_key_decode_is_canonical(data):
+    # every mutated blob either fails to parse or re-encodes to itself
+    blob = bytearray(_CACHED_PAIR.public.to_bytes())
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        op = data.draw(st.sampled_from(["flip", "insert", "delete"]))
+        at = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
+        if op == "flip":
+            blob[at] ^= data.draw(st.integers(min_value=1, max_value=255))
+        elif op == "insert":
+            blob.insert(at, data.draw(st.integers(min_value=0, max_value=255)))
+        else:
+            del blob[at]
+    try:
+        key = crypto.RsaPublicKey.from_bytes(bytes(blob))
+    except ValueError:
+        return
+    assert key.to_bytes() == bytes(blob)
 
 
 # --------------------------------------------------------------------------- #
