@@ -34,7 +34,6 @@ from .protocol import (
     GlobalModelState,
     Server,
     SignedUpdate,
-    VerificationVerdict,
     aggregate,
     run_round,
     server_verify,
@@ -73,7 +72,6 @@ __all__ = [
     "GlobalModelState",
     "Server",
     "SignedUpdate",
-    "VerificationVerdict",
     "aggregate",
     "run_round",
     "server_verify",

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import crypto, datasets, models
 from .datasets import Dataset
-from .models import Model, TrainingConfig
+from .models import Model, TrainingConfig, TrainingError
 from .params import ParameterVector
 from .protocol import ClientActor, Delivery, SignedUpdate, client_round
 
@@ -120,6 +120,8 @@ def make_poison(
     Noise is Gaussian with the given scale (default |strength|), drawn from
     a stream keyed by seed and round so repeated rounds differ but reruns
     do not.  strength=1 with noise_scale=0 reproduces the input exactly.
+    A rewrite that overflows raises TrainingError, so the client drops out
+    of that round as if its training had failed.
     """
     scale = abs(strength) if noise_scale is None else noise_scale
     if scale < 0 or not math.isfinite(scale):
@@ -127,8 +129,11 @@ def make_poison(
 
     def rewrite(update: ParameterVector, round_no: int) -> ParameterVector:
         rng = np.random.default_rng(crypto.derive_seed("poison", seed, round_no))
-        noise = rng.standard_normal(update.size) * scale
-        return ParameterVector._wrap(strength * update.values + noise, update.layout)
+        with np.errstate(over="ignore", invalid="ignore"):  # detected below, not warned
+            values = strength * update.values + rng.standard_normal(update.size) * scale
+        if not np.all(np.isfinite(values)):
+            raise TrainingError("poisoned update is not finite")
+        return ParameterVector(values, update.layout)
 
     return rewrite
 

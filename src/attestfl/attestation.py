@@ -299,17 +299,14 @@ def finalize_report(log: CheckpointLog, private: crypto.RsaPrivateKey) -> Attest
 
 @dataclass(frozen=True)
 class TraceVerdict:
-    ok: bool
+    """Halt at entry `index` for `reason`; both None when the trace passed."""
+
     index: Optional[int] = None
     reason: Optional[str] = None
 
-    @classmethod
-    def passed(cls) -> "TraceVerdict":
-        return cls(ok=True)
-
-    @classmethod
-    def halt(cls, index: int, reason: str) -> "TraceVerdict":
-        return cls(ok=False, index=index, reason=reason)
+    @property
+    def ok(self) -> bool:
+        return self.reason is None
 
 
 def verify_trace(
@@ -320,29 +317,29 @@ def verify_trace(
     """Full trace check, in order: chain replay, report signature, every
     transition against the graph, then start and end labels.
 
-    Returns ok, or halt(index, reason) for the first failing entry.  The
-    signature check uses index len(entries), one past the last entry.
+    Returns a passing verdict, or the index and reason of the first failing
+    entry.  The signature check uses index len(entries), one past the last.
     """
     entries = report.log.entries
 
     bad = verify_chain(report.log)
     if bad is not None:
-        return TraceVerdict.halt(bad, CHAIN_TAMPER)
+        return TraceVerdict(bad, CHAIN_TAMPER)
     if report.final_digest != report.log.final_digest:
-        return TraceVerdict.halt(max(len(entries) - 1, 0), CHAIN_TAMPER)
+        return TraceVerdict(max(len(entries) - 1, 0), CHAIN_TAMPER)
 
     if not crypto.verify(report.final_digest, report.signature, public):
-        return TraceVerdict.halt(len(entries), BAD_SIGNATURE)
+        return TraceVerdict(len(entries), BAD_SIGNATURE)
 
     prev: Optional[CheckpointLabel] = None
     for index, entry in enumerate(entries):
         if cfa_check(graph, prev, entry.checkpoint.label) == 0:
-            return TraceVerdict.halt(index, ILLEGAL_TRANSITION)
+            return TraceVerdict(index, ILLEGAL_TRANSITION)
         prev = entry.checkpoint.label
 
     if not entries:
-        return TraceVerdict.halt(0, WRONG_ENDPOINTS)
+        return TraceVerdict(0, WRONG_ENDPOINTS)
     if entries[-1].checkpoint.label != graph.end:
-        return TraceVerdict.halt(len(entries) - 1, WRONG_ENDPOINTS)
+        return TraceVerdict(len(entries) - 1, WRONG_ENDPOINTS)
 
-    return TraceVerdict.passed()
+    return TraceVerdict()

@@ -61,7 +61,7 @@ class IntegrityError(CryptoError):
 
 
 class UnsupportedSchemeError(CryptoError, ValueError):
-    """Requested signature scheme is not provided."""
+    """A serialized key names a signature scheme other than RSA_SCHEME."""
 
 
 DIGEST_LEN = 32
@@ -242,11 +242,10 @@ def _gen_prime(bits: int, rng: _Drbg) -> int:
 class RsaPublicKey:
     n: int
     e: int
-    scheme: str = RSA_SCHEME
 
     def to_bytes(self) -> bytes:
         """Serialize as scheme id and big-endian (modulus, exponent) octets."""
-        ident = self.scheme.encode("utf-8")
+        ident = RSA_SCHEME.encode("utf-8")
         n_oct = self.n.to_bytes((self.n.bit_length() + 7) // 8, "big")
         e_oct = self.e.to_bytes((self.e.bit_length() + 7) // 8, "big")
         return (
@@ -279,7 +278,7 @@ class RsaPublicKey:
         n, e = int.from_bytes(n_oct, "big"), int.from_bytes(e_oct, "big")
         if scheme != RSA_SCHEME:
             raise UnsupportedSchemeError(f"unknown scheme {scheme!r}")
-        return cls(n=n, e=e, scheme=scheme)
+        return cls(n=n, e=e)
 
 
 @dataclass(frozen=True)
@@ -293,24 +292,20 @@ class RsaPrivateKey:
     dp: int
     dq: int
     qinv: int
-    scheme: str = RSA_SCHEME
 
 
 @dataclass(frozen=True)
 class SignatureKeyPair:
     private: RsaPrivateKey
     public: RsaPublicKey
-    scheme: str = RSA_SCHEME
 
 
-def keygen_signature(scheme: str = RSA_SCHEME, key_bits: int = 2048, seed: int = 0) -> SignatureKeyPair:
-    """Generate a deterministic signing keypair from `seed`.
+def keygen_signature(key_bits: int = 2048, seed: int = 0) -> SignatureKeyPair:
+    """Generate a deterministic RSA_SCHEME keypair from `seed`.
 
-    key_bits must be 1024 (test-sized) or 2048 (default).  The same scheme,
-    size, and seed always produce the same keypair.
+    key_bits must be 1024 (test-sized) or 2048 (default).  The same size
+    and seed always produce the same keypair.
     """
-    if scheme != RSA_SCHEME:
-        raise UnsupportedSchemeError(f"unknown scheme {scheme!r}")
     if key_bits not in (1024, 2048):
         raise ValueError("key_bits must be 1024 or 2048")
     rng = _Drbg(b"rsa-keygen:" + key_bits.to_bytes(4, "big"), seed)
@@ -342,8 +337,6 @@ def sign(digest: bytes, private: RsaPrivateKey) -> bytes:
     RSASP1 in CRT form (RFC 8017 §5.1.2): two half-size exponentiations
     joined by Garner recombination, equal to em^d mod n.
     """
-    if private.scheme != RSA_SCHEME:
-        raise UnsupportedSchemeError(f"unknown scheme {private.scheme!r}")
     if len(digest) != DIGEST_LEN:
         raise ValueError("digest must be 32 bytes")
     k = (private.n.bit_length() + 7) // 8
@@ -359,8 +352,6 @@ def verify(digest: bytes, signature: bytes, public: RsaPublicKey) -> bool:
 
     Malformed signatures return False rather than raising.
     """
-    if public.scheme != RSA_SCHEME:
-        raise UnsupportedSchemeError(f"unknown scheme {public.scheme!r}")
     if len(digest) != DIGEST_LEN:
         raise ValueError("digest must be 32 bytes")
     k = (public.n.bit_length() + 7) // 8

@@ -221,7 +221,7 @@ def gradient(model: Model, data: Dataset) -> ParameterVector:
 
     if not np.all(np.isfinite(grad)):
         raise TrainingError("non-finite gradient")
-    return ParameterVector._wrap(grad, layout)
+    return ParameterVector(grad, layout)
 
 
 # --------------------------------------------------------------------------- #
@@ -264,9 +264,9 @@ def local_train(model: Model, data: Dataset, cfg: TrainingConfig) -> tuple[Param
                 stepped = current.params.values - cfg.learning_rate * grad.values
             if not np.all(np.isfinite(stepped)):
                 raise TrainingError("non-finite parameter step")
-            current = current.with_params(ParameterVector._wrap(stepped, start.layout))
+            current = current.with_params(ParameterVector(stepped, start.layout))
     new_params = current.params
-    update = ParameterVector._wrap(new_params.values - start.values, start.layout)
+    update = ParameterVector(new_params.values - start.values, start.layout)
     return new_params, update
 
 

@@ -8,7 +8,7 @@ updates from silently mixing architectures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -48,12 +48,6 @@ class ParameterLayout:
         return out
 
 
-def _freeze(values: np.ndarray) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True).reshape(-1)
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class ParameterVector:
     """Immutable float64 vector bound to a layout.
@@ -64,33 +58,19 @@ class ParameterVector:
 
     values: np.ndarray
     layout: ParameterLayout
-    _skip_checks: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self._skip_checks:
-            object.__setattr__(self, "values", _freeze(self.values))
-            if self.values.size != self.layout.size:
-                raise LayoutError(
-                    f"vector length {self.values.size} does not match layout size {self.layout.size}"
-                )
-            if not np.all(np.isfinite(self.values)):
-                raise ValueError("parameter values must be finite")
-        object.__setattr__(self, "_skip_checks", False)
-
-    # ---- construction helpers ---- #
+        values = np.array(self.values, dtype=np.float64, copy=True).reshape(-1)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        if values.size != self.layout.size:
+            raise LayoutError(f"vector length {values.size} does not match layout size {self.layout.size}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("parameter values must be finite")
 
     @classmethod
     def zeros(cls, layout: ParameterLayout) -> "ParameterVector":
         return cls(np.zeros(layout.size), layout)
-
-    @classmethod
-    def _wrap(cls, values: np.ndarray, layout: ParameterLayout) -> "ParameterVector":
-        # internal fast path for freshly computed, finite, right-sized arrays
-        if not np.all(np.isfinite(values)):
-            raise ValueError("parameter values must be finite")
-        values = values.astype(np.float64, copy=False).reshape(-1)
-        values.flags.writeable = False
-        return cls(values, layout, _skip_checks=True)
 
     # ---- views ---- #
 
@@ -107,13 +87,7 @@ class ParameterVector:
 
     # ---- arithmetic (layout-checked) ---- #
 
-    def _check_combinable(self, other: "ParameterVector") -> None:
+    def add(self, other: "ParameterVector") -> "ParameterVector":
         if self.layout != other.layout:
             raise LayoutError("parameter vectors have different layouts")
-
-    def add(self, other: "ParameterVector") -> "ParameterVector":
-        self._check_combinable(other)
-        return ParameterVector._wrap(self.values + other.values, self.layout)
-
-    def scale(self, factor: float) -> "ParameterVector":
-        return ParameterVector._wrap(self.values * float(factor), self.layout)
+        return ParameterVector(self.values + other.values, self.layout)

@@ -33,7 +33,6 @@ from .attestation import (
     Checkpoint,
     CheckpointLabel,
     CheckpointLog,
-    ControlFlowGraph,
     DEFAULT_CLIENT_GRAPH,
     DEFAULT_SERVER_GRAPH,
     finalize_report,
@@ -62,8 +61,7 @@ __all__ = [
     "WireFormatError",
     "DuplicateClientError",
     "AggregationError",
-    "RegistryEntry",
-    "VerificationVerdict",
+    "SERVER_ID",
     "SignedUpdate",
     "build_signed_update",
     "Delivery",
@@ -82,6 +80,9 @@ _WIRE_VERSION = 0x01
 _FLAG_PLAINTEXT = 0x00
 _FLAG_SEALED = 0x01
 
+# actor id in the server's own checkpoints
+SERVER_ID = "server"
+
 
 class ProtocolError(RuntimeError):
     """Round orchestration reached a state it must not commit."""
@@ -97,18 +98,6 @@ class DuplicateClientError(ValueError):
 
 class AggregationError(ValueError):
     """The accepted updates cannot be combined."""
-
-
-# --------------------------------------------------------------------------- #
-# identity registry
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class RegistryEntry:
-    client_id: str
-    sig_public: crypto.RsaPublicKey
-    dh_public: int
 
 
 # --------------------------------------------------------------------------- #
@@ -403,17 +392,16 @@ def client_round(
     log = _checkpoint(log, CheckpointLabel.TRAIN_BEGIN, cid, round_no)
     try:
         _, update = models.local_train(model, client.data, cfg)
+        log = _checkpoint(log, CheckpointLabel.TRAIN_END, cid, round_no)
+        if client.compromise is not None:
+            # the rewrite runs as a second training phase; a trusted logger
+            # records the re-entry, which no legal client graph allows
+            log = _checkpoint(log, CheckpointLabel.TRAIN_BEGIN, cid, round_no)
+            update = client.compromise(update, round_no)
+            log = _checkpoint(log, CheckpointLabel.TRAIN_END, cid, round_no)
     except TrainingError:
         client.last_log = log
         return None
-    log = _checkpoint(log, CheckpointLabel.TRAIN_END, cid, round_no)
-
-    if client.compromise is not None:
-        # the rewrite runs as a second training phase; a trusted logger
-        # records the re-entry, which no legal client graph allows
-        update = client.compromise(update, round_no)
-        log = _checkpoint(log, CheckpointLabel.TRAIN_BEGIN, cid, round_no)
-        log = _checkpoint(log, CheckpointLabel.TRAIN_END, cid, round_no)
 
     log = _checkpoint(log, CheckpointLabel.UPDATE_HASHED, cid, round_no)
     log = _checkpoint(log, CheckpointLabel.UPDATE_SIGNED, cid, round_no)
@@ -441,20 +429,6 @@ def client_round(
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class VerificationVerdict:
-    accepted: bool
-    reason: str
-
-    def __post_init__(self) -> None:
-        if self.accepted != (self.reason == REASON_OK):
-            raise ValueError("accepted must match reason == ok")
-
-
-def _reject(reason: str) -> tuple[VerificationVerdict, None]:
-    return VerificationVerdict(accepted=False, reason=reason), None
-
-
 def _open(
     msg: SignedUpdate,
     layout,
@@ -474,55 +448,54 @@ def _open(
 
 
 def server_verify(
-    registry: Mapping[str, RegistryEntry],
+    registry: Mapping[str, crypto.RsaPublicKey],
     msg: SignedUpdate,
     *,
     layout,
-    graph: ControlFlowGraph,
     session_key: Optional[bytes],
     current_round: int,
     accepted_pairs: frozenset[tuple[str, int]] | set[tuple[str, int]],
-) -> tuple[VerificationVerdict, Optional[ParameterVector]]:
-    """Check one message; returns the verdict and the opened update if accepted.
+) -> tuple[str, Optional[ParameterVector]]:
+    """Check one message; returns the reason and, if it is ok, the opened update.
 
     Check order is fixed: unseal, identity, digest, signature, freshness,
-    attestation.  The first failure decides the reason.
+    attestation against DEFAULT_CLIENT_GRAPH.  The first failure decides the
+    reason.
     """
     update, blob = msg.update, None
     if msg.envelope is not None and session_key is not None:
         opened = _open(msg, layout, session_key)
         # header fields travel in the clear; the sealed blob must agree
         if opened is None or opened[1] != (msg.round, msg.client_id, msg.data_size):
-            return _reject(REASON_DECRYPT_FAILURE)
+            return REASON_DECRYPT_FAILURE, None
         blob, _, update = opened
 
-    entry = registry.get(msg.client_id)
-    if entry is None:
-        return _reject(REASON_UNKNOWN_IDENTITY)
+    public = registry.get(msg.client_id)
+    if public is None:
+        return REASON_UNKNOWN_IDENTITY, None
     if update is None:
         # sealed message from a registered sender with no session key
-        return _reject(REASON_DECRYPT_FAILURE)
+        return REASON_DECRYPT_FAILURE, None
 
     if blob is None:
         blob = crypto.canonical_encode(update.values, msg.round, msg.client_id, msg.data_size)
     if crypto.sha256(blob) != msg.digest:
-        return _reject(REASON_DIGEST_MISMATCH)
-    if not crypto.verify(msg.digest, msg.signature, entry.sig_public):
-        return _reject(REASON_BAD_SIGNATURE)
+        return REASON_DIGEST_MISMATCH, None
+    if not crypto.verify(msg.digest, msg.signature, public):
+        return REASON_BAD_SIGNATURE, None
     if msg.round != current_round or (msg.client_id, msg.round) in accepted_pairs:
-        return _reject(REASON_REPLAYED_ROUND)
+        return REASON_REPLAYED_ROUND, None
 
     report = msg.attestation
     for log_entry in report.log.entries:
         cp = log_entry.checkpoint
         if cp.actor != msg.client_id or cp.round != msg.round:
             # trace lifted from another actor or round
-            return _reject(REASON_CFA_HALT)
-    trace = verify_trace(graph, report, entry.sig_public)
-    if not trace.ok:
-        return _reject(REASON_CFA_HALT)
+            return REASON_CFA_HALT, None
+    if not verify_trace(DEFAULT_CLIENT_GRAPH, report, public).ok:
+        return REASON_CFA_HALT, None
 
-    return VerificationVerdict(accepted=True, reason=REASON_OK), update
+    return REASON_OK, update
 
 
 # --------------------------------------------------------------------------- #
@@ -554,7 +527,7 @@ def aggregate(updates: Sequence[tuple[str, int, ParameterVector]]) -> Optional[P
     for i in ordered:
         _, size, update = updates[i]
         acc += (float(size) / total) * update.values
-    return ParameterVector._wrap(acc, first_layout)
+    return ParameterVector(acc, first_layout)
 
 
 # --------------------------------------------------------------------------- #
@@ -564,8 +537,8 @@ def aggregate(updates: Sequence[tuple[str, int, ParameterVector]]) -> Optional[P
 
 @dataclass
 class Server:
-    """Holds the registry (client id -> keys), session keys, global model
-    state and the audit log.  Freshness state lives for one round only."""
+    """Holds the registry (client id -> RSA public key), session keys, global
+    model state and the audit log.  Freshness state lives for one round only."""
 
     architecture: Model
     state: GlobalModelState
@@ -573,11 +546,8 @@ class Server:
     dh_private: int
     dh_public: int
     dh_params: crypto.DhParams = crypto.MODP_2048
-    client_graph: ControlFlowGraph = DEFAULT_CLIENT_GRAPH
-    server_graph: ControlFlowGraph = DEFAULT_SERVER_GRAPH
     security: bool = True
-    server_id: str = "server"
-    registry: dict[str, RegistryEntry] = field(default_factory=dict)
+    registry: dict[str, crypto.RsaPublicKey] = field(default_factory=dict)
     session_keys: dict[str, bytes] = field(default_factory=dict)
     audit_log: list[AuditRecord] = field(default_factory=list)
 
@@ -592,7 +562,7 @@ class Server:
         security: bool = True,
     ) -> "Server":
         sig_pair = crypto.keygen_signature(key_bits=key_bits, seed=key_seed)
-        dh_private, dh_public = crypto.dh_keygen(dh_params, seed=crypto.derive_seed("server", "dh", key_seed))
+        dh_private, dh_public = crypto.dh_keygen(dh_params, seed=crypto.derive_seed(SERVER_ID, "dh", key_seed))
         state = GlobalModelState(round=0, params=architecture.params)
         return cls(
             architecture=architecture,
@@ -605,18 +575,20 @@ class Server:
         )
 
     def register(self, client: ClientActor) -> None:
-        """Enroll a client: store its public keys, agree on a session key."""
+        """Enroll a client: store its public key, agree on a session key.
+
+        Both shared secrets are computed before anything is stored, so a
+        failed registration leaves the server and the client unchanged.
+        """
         cid = client.client_id
         if not cid:
             raise ValueError("client id must be non-empty")
         if cid in self.registry:
             raise DuplicateClientError(f"client {cid!r} already registered")
-        self.registry[cid] = RegistryEntry(
-            client_id=cid, sig_public=client.sig_pair.public, dh_public=client.dh_public
-        )
         shared_at_server = crypto.dh_shared(self.dh_private, client.dh_public, self.dh_params)
-        self.session_keys[cid] = crypto.kdf(shared_at_server)
         shared_at_client = crypto.dh_shared(client.dh_private, self.dh_public, self.dh_params)
+        self.registry[cid] = client.sig_pair.public
+        self.session_keys[cid] = crypto.kdf(shared_at_server)
         client.session_key = crypto.kdf(shared_at_client)
 
 
@@ -641,39 +613,35 @@ def _ingest(
                 client_id=delivery.source,
                 reason=REASON_MALFORMED,
                 honest=delivery.honest,
-                accepted=False,
                 attributable=False,
             )
             return outcome, None, None
     else:
         msg = payload
 
-    entry = server.registry.get(msg.client_id)
-    attributable = entry is not None
+    public = server.registry.get(msg.client_id)
     session_key = server.session_keys.get(msg.client_id)
 
     if server.security:
-        verdict, update = server_verify(
+        reason, update = server_verify(
             server.registry,
             msg,
             layout=layout,
-            graph=server.client_graph,
             session_key=session_key,
             current_round=round_no,
             accepted_pairs=fresh,
         )
     else:
         # checks disabled: everything that can be opened is taken at face value
-        verdict, update = _accept_unverified(msg, layout, session_key)
+        reason, update = _accept_unverified(msg, layout, session_key)
 
     outcome = MessageOutcome(
         client_id=msg.client_id,
-        reason=verdict.reason,
+        reason=reason,
         honest=delivery.honest,
-        accepted=verdict.accepted,
-        attributable=attributable,
+        attributable=public is not None,
     )
-    if not verdict.accepted:
+    if not outcome.accepted:
         return outcome, None, None
 
     assert update is not None
@@ -683,7 +651,7 @@ def _ingest(
         client_id=msg.client_id,
         digest=msg.digest,
         signature=msg.signature,
-        public_key=entry.sig_public.to_bytes() if entry is not None else None,
+        public_key=public.to_bytes() if public is not None else None,
     )
     return outcome, (msg.client_id, msg.data_size, update), audit
 
@@ -692,14 +660,14 @@ def _accept_unverified(
     msg: SignedUpdate,
     layout,
     session_key: Optional[bytes],
-) -> tuple[VerificationVerdict, Optional[ParameterVector]]:
+) -> tuple[str, Optional[ParameterVector]]:
     """Security-off path: open the payload if possible, accept whatever it says."""
     if msg.update is not None:
-        return VerificationVerdict(accepted=True, reason=REASON_OK), msg.update
+        return REASON_OK, msg.update
     opened = None if session_key is None else _open(msg, layout, session_key)
     if opened is None:
-        return _reject(REASON_DECRYPT_FAILURE)
-    return VerificationVerdict(accepted=True, reason=REASON_OK), opened[2]
+        return REASON_DECRYPT_FAILURE, None
+    return REASON_OK, opened[2]
 
 
 def _evaluate_global(server: Server, eval_data: Optional[Dataset]) -> float:
@@ -723,10 +691,9 @@ def run_round(
     """
     started = time.perf_counter()
     round_no = server.state.round
-    sid = server.server_id
 
     slog = CheckpointLog()
-    slog = _checkpoint(slog, CheckpointLabel.ROUND_START, sid, round_no)
+    slog = _checkpoint(slog, CheckpointLabel.ROUND_START, SERVER_ID, round_no)
 
     deliveries: list[Delivery] = []
     for client in sorted(clients, key=lambda c: c.client_id):
@@ -751,8 +718,6 @@ def run_round(
             non_repudiation_incidents=0,
             accuracy=accuracy,
             duration_s=time.perf_counter() - started,
-            accepted_count=0,
-            model_updated=False,
         )
 
     # everything below is staged and committed only after the self-check
@@ -761,7 +726,7 @@ def run_round(
     round_audit: list[AuditRecord] = []
     fresh: set[tuple[str, int]] = set()
     for delivery in deliveries:
-        slog = _checkpoint(slog, CheckpointLabel.SERVER_RECEIVED, sid, round_no)
+        slog = _checkpoint(slog, CheckpointLabel.SERVER_RECEIVED, SERVER_ID, round_no)
         outcome, item, audit = _ingest(server, delivery, round_no, fresh)
         outcomes.append(outcome)
         if item is not None:
@@ -769,18 +734,18 @@ def run_round(
         if audit is not None:
             round_audit.append(audit)
 
-    slog = _checkpoint(slog, CheckpointLabel.SERVER_VERIFIED, sid, round_no)
+    slog = _checkpoint(slog, CheckpointLabel.SERVER_VERIFIED, SERVER_ID, round_no)
     delta = aggregate(accepted)
-    slog = _checkpoint(slog, CheckpointLabel.AGGREGATED, sid, round_no)
+    slog = _checkpoint(slog, CheckpointLabel.AGGREGATED, SERVER_ID, round_no)
     if delta is not None:
         new_state = apply_global(server.state, delta)
     else:
         new_state = advance_round(server.state)
-    slog = _checkpoint(slog, CheckpointLabel.GLOBAL_APPLIED, sid, round_no)
-    slog = _checkpoint(slog, CheckpointLabel.ROUND_END, sid, round_no)
+    slog = _checkpoint(slog, CheckpointLabel.GLOBAL_APPLIED, SERVER_ID, round_no)
+    slog = _checkpoint(slog, CheckpointLabel.ROUND_END, SERVER_ID, round_no)
 
     server_report = finalize_report(slog, server.sig_pair.private)
-    self_check = verify_trace(server.server_graph, server_report, server.sig_pair.public)
+    self_check = verify_trace(DEFAULT_SERVER_GRAPH, server_report, server.sig_pair.public)
     if not self_check.ok:
         raise ProtocolError(
             f"server trace failed self-verification at entry {self_check.index}: {self_check.reason}"
@@ -798,6 +763,4 @@ def run_round(
         non_repudiation_incidents=incidents,
         accuracy=accuracy,
         duration_s=time.perf_counter() - started,
-        accepted_count=len(accepted),
-        model_updated=delta is not None,
     )

@@ -90,8 +90,11 @@ class MessageOutcome:
     client_id: str
     reason: str
     honest: bool  # sent by an honest registered client (possibly tampered in transit)
-    accepted: bool
     attributable: bool  # claimed identity was found in the registry
+
+    @property
+    def accepted(self) -> bool:
+        return self.reason == REASON_OK
 
 
 @dataclass
@@ -103,8 +106,15 @@ class RoundReport:
     non_repudiation_incidents: int
     accuracy: float
     duration_s: float
-    accepted_count: int
-    model_updated: bool
+
+    @property
+    def accepted_count(self) -> int:
+        return sum(1 for o in self.outcomes if o.accepted)
+
+    @property
+    def model_updated(self) -> bool:
+        """Every accepted update is aggregated into the global model."""
+        return self.accepted_count > 0
 
 
 def compute_metrics(

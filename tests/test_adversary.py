@@ -23,7 +23,7 @@ from attestfl.adversary import (
     spawn_sybils,
     tamper_bytes,
 )
-from attestfl.models import TrainingConfig
+from attestfl.models import TrainingConfig, TrainingError
 from attestfl.params import ParameterVector
 from attestfl.protocol import ClientActor, Delivery, SignedUpdate, client_round
 
@@ -114,6 +114,12 @@ def test_poison_rejects_bad_noise_scale():
         make_poison(1.0, seed=0, noise_scale=-1.0)
     with pytest.raises(ValueError):
         make_poison(1.0, seed=0, noise_scale=float("nan"))
+
+
+def test_poison_overflow_is_a_training_failure():
+    u = update_of(1.0, -2.0, 0.5, 3.0, -1.0, 0.25)
+    with pytest.raises(TrainingError):
+        make_poison(1e308, seed=0)(u, 0)
 
 
 # ---- label flipping ---- #

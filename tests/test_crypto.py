@@ -156,9 +156,7 @@ def test_keygen_modulus_size():
     assert pair.public.n.bit_length() == 1024
 
 
-def test_keygen_rejects_unknown_scheme_and_size():
-    with pytest.raises(crypto.UnsupportedSchemeError):
-        crypto.keygen_signature(scheme="dsa", key_bits=1024, seed=0)
+def test_keygen_rejects_unknown_size():
     with pytest.raises(ValueError):
         crypto.keygen_signature(key_bits=512, seed=0)
 
@@ -270,7 +268,7 @@ def test_public_key_serialization_round_trip(keypair):
 
 def test_public_key_rejects_leading_zero_octets(keypair):
     pub = keypair.public
-    ident = pub.scheme.encode("utf-8")
+    ident = crypto.RSA_SCHEME.encode("utf-8")
     n_oct = pub.n.to_bytes(128, "big")
     e_oct = pub.e.to_bytes(3, "big")
     head = len(ident).to_bytes(2, "big") + ident
@@ -282,6 +280,15 @@ def test_public_key_rejects_leading_zero_octets(keypair):
     for n_part, e_part in ((b"\x00" + n_oct, e_oct), (n_oct, b"\x00" + e_oct)):
         with pytest.raises(ValueError):
             crypto.RsaPublicKey.from_bytes(blob(n_part, e_part))
+
+
+def test_public_key_rejects_unknown_scheme(keypair):
+    ident = crypto.RSA_SCHEME.encode("utf-8")
+    body = keypair.public.to_bytes()[2 + len(ident) :]
+    for other in (b"dsa", b"rsa-pkcs1v15-sha512"):
+        with pytest.raises(crypto.UnsupportedSchemeError) as info:
+            crypto.RsaPublicKey.from_bytes(len(other).to_bytes(2, "big") + other + body)
+        assert isinstance(info.value, ValueError)
 
 
 @settings(max_examples=300)

@@ -12,7 +12,7 @@ import struct
 import numpy as np
 import pytest
 
-from attestfl import adversary, cli, crypto, datasets, harness, reporting
+from attestfl import adversary, cli, crypto, datasets, harness, protocol, reporting
 from attestfl.harness import (
     ConfigError,
     DataSpec,
@@ -124,11 +124,8 @@ def test_batch_full_keyword():
 # ---- metric arithmetic ---- #
 
 
-def _outcome(reason, honest=True, accepted=None, attributable=True):
-    accepted = (reason == "ok") if accepted is None else accepted
-    return MessageOutcome(
-        client_id="x", reason=reason, honest=honest, accepted=accepted, attributable=attributable
-    )
+def _outcome(reason, honest=True, attributable=True):
+    return MessageOutcome(client_id="x", reason=reason, honest=honest, attributable=attributable)
 
 
 def test_compute_metrics_hand_case():
@@ -189,8 +186,6 @@ def make_report(round_no, verification=100.0, authentication=100.0, accuracy=0.9
         non_repudiation_incidents=0,
         accuracy=accuracy,
         duration_s=0.025,
-        accepted_count=3,
-        model_updated=True,
     )
 
 
@@ -388,6 +383,27 @@ def test_cli_runs_and_prints_table(tmp_path, capsys):
     assert code == 0
     assert "round" in captured.out and "summary" in captured.out
     assert out.exists()
+
+
+def test_cli_overflowing_poison_drops_the_client_each_round(tmp_path):
+    # strength 1e308 overflows the rewrite; the run must neither crash nor
+    # warn (RuntimeWarnings are errors under pytest)
+    conf = tmp_path / "keys.conf"
+    conf.write_text("crypto.key_bits = 1024\n")
+    args = ["--attack", "model-poison", "--attack-strength", "1e308", "--rounds", "2", "--clients", "3", "--seed", "1"]
+    assert cli.main(["--config", str(conf), *args]) == 0
+
+    config = parse_config(conf.read_text(), cli._overrides(cli.build_parser().parse_args(args)))
+    sim = build_simulation(config)
+    (poisoned,) = [c for c in sim.clients if c.compromise is not None]
+    for _ in range(config.rounds):
+        report = protocol.run_round(sim.server, sim.clients, plan=sim.plan, eval_data=sim.holdout)
+        assert poisoned.client_id not in [o.client_id for o in report.outcomes]
+        assert len(report.outcomes) == 2
+        # the partial trace ends in the re-entered training phase
+        assert [label.value for label in poisoned.last_log.labels()] == [
+            "ROUND_START", "TRAIN_BEGIN", "TRAIN_END", "TRAIN_BEGIN"
+        ]
 
 
 def test_cli_rejects_bad_config_value(capsys):

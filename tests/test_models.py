@@ -80,7 +80,6 @@ def test_parameter_arithmetic_and_layout_guard():
     a = ParameterVector(np.array([1.0, 2.0]), layout)
     b = ParameterVector(np.array([0.5, -1.0]), layout)
     assert np.array_equal(a.add(b).values, [1.5, 1.0])
-    assert np.array_equal(a.scale(2.0).values, [2.0, 4.0])
     other = ParameterVector(np.array([0.0, 0.0]), ParameterLayout((("v", (2,)),)))
     with pytest.raises(LayoutError):
         a.add(other)
@@ -250,9 +249,9 @@ def test_single_full_batch_epoch_is_one_gradient_step():
     model = models.logistic_regression(2, 2)
     lr = 0.3
     cfg = models.TrainingConfig(learning_rate=lr, epochs=1, batch_size="full")
-    expected = models.gradient(model, data).scale(-lr)
+    expected = -lr * models.gradient(model, data).values
     _, update = models.local_train(model, data, cfg)
-    assert np.max(np.abs(update.values - expected.values)) < 1e-12
+    assert np.max(np.abs(update.values - expected)) < 1e-12
 
 
 def test_update_is_exactly_new_minus_start():

@@ -82,6 +82,10 @@ def vector(*values):
     return ParameterVector(values=np.array(values, dtype=np.float64), layout=LAYOUT)
 
 
+def scaled(update, factor):
+    return ParameterVector(update.values * factor, update.layout)
+
+
 def honest_message(client, server, round_no=0):
     return client_round(client, server.state.params, round_no)
 
@@ -91,7 +95,6 @@ def verify_with(server, msg, round_no=0, accepted=frozenset()):
         server.registry,
         msg,
         layout=LAYOUT,
-        graph=server.client_graph,
         session_key=server.session_keys.get(msg.client_id),
         current_round=round_no,
         accepted_pairs=accepted,
@@ -107,10 +110,28 @@ def test_register_rejects_duplicate_id():
         server.register(clients[0])
 
 
+def test_failed_registration_changes_nothing():
+    from dataclasses import replace as dc_replace
+
+    server, _ = make_world()
+    newcomer = ClientActor.create(
+        "client-3", SHARDS[0], ARCH, TRAIN_CFG, key_seed=103, key_bits=1024, dh_params=crypto.TOY_DH_GROUP
+    )
+    before = (dict(server.registry), dict(server.session_keys))
+    broken = dc_replace(newcomer, dh_public=1)  # outside the accepted [2, p-2]
+    with pytest.raises(ValueError):
+        server.register(broken)
+    assert (server.registry, server.session_keys) == before
+    assert broken.session_key is None
+    server.register(newcomer)
+    assert server.registry["client-3"] == newcomer.sig_pair.public
+    assert newcomer.session_key == server.session_keys["client-3"]
+
+
 def test_registry_is_a_dict_of_entries():
     server, clients = make_world()
     assert list(server.registry) == [c.client_id for c in clients]
-    assert server.registry["client-1"].sig_public == clients[1].sig_pair.public
+    assert server.registry["client-1"] == clients[1].sig_pair.public
     assert server.registry.get("missing") is None
     nameless = ClientActor.create(
         "", SHARDS[0], ARCH, TRAIN_CFG, key_seed=50, key_bits=1024, dh_params=crypto.TOY_DH_GROUP
@@ -172,8 +193,8 @@ def test_wire_round_trip_sealed():
     assert msg.update is None and msg.envelope is not None
     back = SignedUpdate.from_wire_bytes(msg.to_wire_bytes(), LAYOUT)
     assert back.envelope == msg.envelope
-    verdict, update = verify_with(server, back)
-    assert verdict.accepted and update is not None
+    reason, update = verify_with(server, back)
+    assert reason == reporting.REASON_OK and update is not None
 
 
 @pytest.mark.parametrize(
@@ -227,13 +248,13 @@ def test_client_trace_matches_client_graph():
         CheckpointLabel.UPDATE_SENT,
         CheckpointLabel.ROUND_END,
     ]
-    verdict, _ = verify_with(server, msg)
-    assert verdict.accepted
+    reason, _ = verify_with(server, msg)
+    assert reason == reporting.REASON_OK
 
 
 def test_compromised_client_trace_shows_training_reentry():
     server, clients = make_world()
-    clients[0].compromise = lambda update, round_no: update.scale(-10.0)
+    clients[0].compromise = lambda update, round_no: scaled(update, -10.0)
     msg = honest_message(clients[0], server)
     labels = msg.attestation.log.labels()
     # the rewrite pass appears as a second TRAIN_BEGIN/TRAIN_END pair
@@ -245,9 +266,8 @@ def test_compromised_client_trace_shows_training_reentry():
     # the bytes it sends are still correctly hashed and signed
     blob = crypto.canonical_encode(msg.update.values, msg.round, msg.client_id, msg.data_size)
     assert msg.digest == hashlib.sha256(blob).digest()
-    verdict, _ = verify_with(server, msg)
-    assert not verdict.accepted
-    assert verdict.reason == reporting.REASON_CFA_HALT
+    reason, _ = verify_with(server, msg)
+    assert reason == reporting.REASON_CFA_HALT
 
 
 def test_client_round_is_deterministic():
@@ -281,8 +301,8 @@ def test_dropout_keeps_partial_log():
 
 def test_verify_accepts_honest_message():
     server, clients = make_world()
-    verdict, update = verify_with(server, honest_message(clients[0], server))
-    assert verdict.accepted and verdict.reason == reporting.REASON_OK
+    reason, update = verify_with(server, honest_message(clients[0], server))
+    assert reason == reporting.REASON_OK
     assert update is not None
 
 
@@ -298,8 +318,7 @@ def test_verify_unknown_identity():
         dh_params=crypto.TOY_DH_GROUP,
     )
     msg = client_round(outsider, server.state.params, 0)
-    verdict, update = verify_with(server, msg)
-    assert (verdict.accepted, verdict.reason, update) == (False, reporting.REASON_UNKNOWN_IDENTITY, None)
+    assert verify_with(server, msg) == (reporting.REASON_UNKNOWN_IDENTITY, None)
 
 
 def test_verify_digest_mismatch():
@@ -307,9 +326,9 @@ def test_verify_digest_mismatch():
 
     server, clients = make_world()
     msg = honest_message(clients[0], server)
-    altered = dc_replace(msg, update=msg.update.scale(2.0))
-    verdict, _ = verify_with(server, altered)
-    assert verdict.reason == reporting.REASON_DIGEST_MISMATCH
+    altered = dc_replace(msg, update=scaled(msg.update, 2.0))
+    reason, _ = verify_with(server, altered)
+    assert reason == reporting.REASON_DIGEST_MISMATCH
 
 
 def test_verify_bad_signature():
@@ -319,22 +338,22 @@ def test_verify_bad_signature():
     msg = honest_message(clients[0], server)
     wrong_key = crypto.keygen_signature(key_bits=1024, seed=902)
     forged = dc_replace(msg, signature=crypto.sign(msg.digest, wrong_key.private))
-    verdict, _ = verify_with(server, forged)
-    assert verdict.reason == reporting.REASON_BAD_SIGNATURE
+    reason, _ = verify_with(server, forged)
+    assert reason == reporting.REASON_BAD_SIGNATURE
 
 
 def test_verify_stale_round_is_replay():
     server, clients = make_world()
     msg = honest_message(clients[0], server, round_no=0)
-    verdict, _ = verify_with(server, msg, round_no=3)
-    assert verdict.reason == reporting.REASON_REPLAYED_ROUND
+    reason, _ = verify_with(server, msg, round_no=3)
+    assert reason == reporting.REASON_REPLAYED_ROUND
 
 
 def test_verify_duplicate_within_round_is_replay():
     server, clients = make_world()
     msg = honest_message(clients[0], server)
-    verdict, _ = verify_with(server, msg, accepted={(msg.client_id, 0)})
-    assert verdict.reason == reporting.REASON_REPLAYED_ROUND
+    reason, _ = verify_with(server, msg, accepted={(msg.client_id, 0)})
+    assert reason == reporting.REASON_REPLAYED_ROUND
 
 
 def test_verify_rejects_trace_borrowed_from_other_actor():
@@ -345,8 +364,8 @@ def test_verify_rejects_trace_borrowed_from_other_actor():
     msg1 = honest_message(clients[1], server)
     # client-1 presents client-0's perfectly legal trace as its own
     hijacked = dc_replace(msg1, attestation=msg0.attestation)
-    verdict, _ = verify_with(server, hijacked)
-    assert verdict.reason == reporting.REASON_CFA_HALT
+    reason, _ = verify_with(server, hijacked)
+    assert reason == reporting.REASON_CFA_HALT
 
 
 def test_verify_rejects_truncated_trace():
@@ -356,8 +375,8 @@ def test_verify_rejects_truncated_trace():
     msg = honest_message(clients[0], server)
     cut = CheckpointLog(entries=msg.attestation.log.entries[:-1])
     report = finalize_report(cut, clients[0].sig_pair.private)
-    verdict, _ = verify_with(server, dc_replace(msg, attestation=report))
-    assert verdict.reason == reporting.REASON_CFA_HALT
+    reason, _ = verify_with(server, dc_replace(msg, attestation=report))
+    assert reason == reporting.REASON_CFA_HALT
 
 
 def test_verify_decrypt_failure_on_corrupted_envelope():
@@ -367,23 +386,22 @@ def test_verify_decrypt_failure_on_corrupted_envelope():
     msg = honest_message(clients[0], server)
     bad_ct = bytes([msg.envelope.ciphertext[0] ^ 0x01]) + msg.envelope.ciphertext[1:]
     broken = dc_replace(msg, envelope=crypto.CipherEnvelope(msg.envelope.nonce, bad_ct, msg.envelope.tag))
-    verdict, _ = verify_with(server, broken)
-    assert verdict.reason == reporting.REASON_DECRYPT_FAILURE
+    reason, _ = verify_with(server, broken)
+    assert reason == reporting.REASON_DECRYPT_FAILURE
 
 
 def test_verify_sealed_message_without_session_key():
     server, clients = make_world(encrypt=True)
     msg = honest_message(clients[0], server)
-    verdict, _ = server_verify(
+    reason, _ = server_verify(
         server.registry,
         msg,
         layout=LAYOUT,
-        graph=server.client_graph,
         session_key=None,
         current_round=0,
         accepted_pairs=frozenset(),
     )
-    assert verdict.reason == reporting.REASON_DECRYPT_FAILURE
+    assert reason == reporting.REASON_DECRYPT_FAILURE
 
 
 def test_identity_check_precedes_payload_checks():
@@ -402,8 +420,8 @@ def test_identity_check_precedes_payload_checks():
     msg = client_round(outsider, server.state.params, 0)
     # even with a broken digest, the unknown sender is reported first
     mangled = dc_replace(msg, digest=bytes(32))
-    verdict, _ = verify_with(server, mangled)
-    assert verdict.reason == reporting.REASON_UNKNOWN_IDENTITY
+    reason, _ = verify_with(server, mangled)
+    assert reason == reporting.REASON_UNKNOWN_IDENTITY
 
 
 def test_freshness_check_precedes_attestation():
@@ -413,8 +431,8 @@ def test_freshness_check_precedes_attestation():
     msg = honest_message(clients[0], server)
     cut = CheckpointLog(entries=msg.attestation.log.entries[:-1])
     stale_and_broken = dc_replace(msg, attestation=finalize_report(cut, clients[0].sig_pair.private))
-    verdict, _ = verify_with(server, stale_and_broken, round_no=2)
-    assert verdict.reason == reporting.REASON_REPLAYED_ROUND
+    reason, _ = verify_with(server, stale_and_broken, round_no=2)
+    assert reason == reporting.REASON_REPLAYED_ROUND
 
 
 # ---- aggregation ---- #
@@ -537,7 +555,7 @@ def test_round_report_round_trips_through_audit_log():
 
 def test_security_off_accepts_everything_opened():
     server, clients = make_world(security=False)
-    clients[0].compromise = lambda update, round_no: update.scale(-10.0)
+    clients[0].compromise = lambda update, round_no: scaled(update, -10.0)
     report = run_round(server, clients, eval_data=HOLDOUT)
     assert report.accepted_count == 3
     assert all(o.reason == reporting.REASON_OK for o in report.outcomes)
@@ -545,7 +563,7 @@ def test_security_off_accepts_everything_opened():
 
 def test_security_on_drops_compromised_update():
     server, clients = make_world()
-    clients[0].compromise = lambda update, round_no: update.scale(-10.0)
+    clients[0].compromise = lambda update, round_no: scaled(update, -10.0)
     report = run_round(server, clients, eval_data=HOLDOUT)
     assert report.accepted_count == 2
     reasons = {o.client_id: o.reason for o in report.outcomes}
@@ -623,8 +641,7 @@ def sealed_nan_message(client, server, round_no=0):
 def test_sealed_non_finite_payload_is_decrypt_failure(security):
     server, clients = make_world(security=security, encrypt=True)
     forged = sealed_nan_message(clients[0], server)
-    verdict, update = verify_with(server, forged)
-    assert (verdict.reason, update) == (reporting.REASON_DECRYPT_FAILURE, None)
+    assert verify_with(server, forged) == (reporting.REASON_DECRYPT_FAILURE, None)
 
     class SwapIn:
         def transform(self, deliveries, round_no, params):
