@@ -40,6 +40,8 @@ __all__ = [
 
 GENESIS = crypto.sha256(b"")
 
+_REPORT_VERSION = b"\x01"
+
 CHAIN_TAMPER = "chain-tamper"
 BAD_SIGNATURE = "bad-signature"
 ILLEGAL_TRANSITION = "illegal-transition"
@@ -76,37 +78,19 @@ class Checkpoint:
 
     def encode(self) -> bytes:
         """Canonical bytes: length-prefixed label and actor, round as u32."""
-        label = self.label.value.encode("utf-8")
-        actor = self.actor.encode("utf-8")
-        if len(actor) > 0xFFFF:
-            raise ValueError("actor name too long")
         return (
-            len(label).to_bytes(2, "big")
-            + label
-            + len(actor).to_bytes(2, "big")
-            + actor
+            crypto.prefixed(self.label.value.encode("utf-8"), 2)
+            + crypto.prefixed(self.actor.encode("utf-8"), 2)
             + self.round.to_bytes(4, "big")
         )
 
     @classmethod
-    def decode(cls, blob: bytes) -> tuple["Checkpoint", int]:
-        """Parse one encoded checkpoint; returns (checkpoint, bytes consumed).
-
-        Raises ValueError if any field runs past the end of `blob`.
-        """
-        pos = 0
-
-        def take(n: int) -> bytes:
-            nonlocal pos
-            if pos + n > len(blob):
-                raise ValueError("truncated checkpoint")
-            pos += n
-            return blob[pos - n : pos]
-
-        label = CheckpointLabel(take(int.from_bytes(take(2), "big")).decode("utf-8"))
-        actor = take(int.from_bytes(take(2), "big")).decode("utf-8")
-        round_no = int.from_bytes(take(4), "big")
-        return cls(label=label, actor=actor, round=round_no), pos
+    def read(cls, reader: crypto.Reader) -> "Checkpoint":
+        """Read one encoded checkpoint; ValueError if a field is malformed or
+        runs past the end of the reader's buffer."""
+        label = CheckpointLabel(reader.prefixed(2).decode("utf-8"))
+        actor = reader.prefixed(2).decode("utf-8")
+        return cls(label=label, actor=actor, round=reader.uint(4))
 
 
 # --------------------------------------------------------------------------- #
@@ -184,15 +168,15 @@ def cfa_check(
     graph: ControlFlowGraph,
     prev: Optional[CheckpointLabel],
     current: CheckpointLabel,
-) -> int:
-    """1 if the step is admissible, else 0.
+) -> bool:
+    """True iff the step from `prev` to `current` is admissible.
 
     With no predecessor the only admissible label is the graph's start.
-    Unknown labels and missing edges score 0; the function is total.
+    Unknown labels and missing edges are inadmissible; the function is total.
     """
     if prev is None:
-        return 1 if current == graph.start else 0
-    return 1 if (prev, current) in graph.edges else 0
+        return current == graph.start
+    return (prev, current) in graph.edges
 
 
 # --------------------------------------------------------------------------- #
@@ -215,9 +199,6 @@ class CheckpointLog:
     @property
     def final_digest(self) -> bytes:
         return self.entries[-1].chain_digest if self.entries else GENESIS
-
-    def labels(self) -> list[CheckpointLabel]:
-        return [entry.checkpoint.label for entry in self.entries]
 
 
 def record_checkpoint(log: CheckpointLog, checkpoint: Checkpoint) -> CheckpointLog:
@@ -253,42 +234,27 @@ class AttestationReport:
     signature: bytes
 
     def to_bytes(self) -> bytes:
-        body = len(self.log.entries).to_bytes(4, "big")
-        for entry in self.log.entries:
-            body += entry.checkpoint.encode() + entry.chain_digest
-        body += self.final_digest
-        body += len(self.signature).to_bytes(4, "big") + self.signature
-        return b"\x01" + body
+        """Version 0x01, entry count as u32, each checkpoint with its chain
+        digest, the final digest, then the u32-prefixed signature."""
+        entries = self.log.entries
+        return b"".join(
+            [_REPORT_VERSION, len(entries).to_bytes(4, "big")]
+            + [entry.checkpoint.encode() + entry.chain_digest for entry in entries]
+            + [self.final_digest, crypto.prefixed(self.signature, 4)]
+        )
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "AttestationReport":
-        if len(blob) < 5 or blob[0] != 0x01:
+        """Strict inverse of `to_bytes`; ValueError on any structural defect."""
+        reader = crypto.Reader(blob)
+        if reader.take(1) != _REPORT_VERSION:
             raise ValueError("bad report version")
-        pos = 1
-        count = int.from_bytes(blob[pos : pos + 4], "big")
-        pos += 4
-        entries = []
-        for _ in range(count):
-            checkpoint, used = Checkpoint.decode(blob[pos:])
-            pos += used
-            digest = blob[pos : pos + 32]
-            if len(digest) != 32:
-                raise ValueError("truncated chain digest")
-            pos += 32
-            entries.append(LogEntry(checkpoint, digest))
-        final = blob[pos : pos + 32]
-        if len(final) != 32:
-            raise ValueError("truncated final digest")
-        pos += 32
-        sig_len = int.from_bytes(blob[pos : pos + 4], "big")
-        pos += 4
-        signature = blob[pos : pos + sig_len]
-        if len(signature) != sig_len:
-            raise ValueError("truncated signature")
-        pos += sig_len
-        if pos != len(blob):
-            raise ValueError("trailing bytes in report")
-        return cls(log=CheckpointLog(entries=tuple(entries)), final_digest=final, signature=signature)
+        count = reader.uint(4)
+        entries = tuple(LogEntry(Checkpoint.read(reader), reader.take(crypto.DIGEST_LEN)) for _ in range(count))
+        final = reader.take(crypto.DIGEST_LEN)
+        signature = reader.prefixed(4)
+        reader.close()
+        return cls(log=CheckpointLog(entries=entries), final_digest=final, signature=signature)
 
 
 def finalize_report(log: CheckpointLog, private: crypto.RsaPrivateKey) -> AttestationReport:
@@ -333,7 +299,7 @@ def verify_trace(
 
     prev: Optional[CheckpointLabel] = None
     for index, entry in enumerate(entries):
-        if cfa_check(graph, prev, entry.checkpoint.label) == 0:
+        if not cfa_check(graph, prev, entry.checkpoint.label):
             return TraceVerdict(index, ILLEGAL_TRANSITION)
         prev = entry.checkpoint.label
 

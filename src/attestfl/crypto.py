@@ -9,7 +9,11 @@ it exists so the protocol layer has honest cryptographic behaviour (forgeries
 fail, tampering is detected) without nondeterministic key material.
 
 Byte conventions are big-endian throughout.  `canonical_encode` defines the
-injective byte layout that both digests and signatures commit to.
+injective byte layout that both digests and signatures commit to.  `prefixed`
+and `Reader` are the only framing code: every encoder writes a variable-length
+field with `prefixed`, and every decoder here and in `attestation` and
+`protocol` reads through a `Reader`, so a field that runs past the end of its
+buffer raises ValueError in one place.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ __all__ = [
     "UnsupportedSchemeError",
     "RSA_SCHEME",
     "sha256",
+    "prefixed",
+    "Reader",
     "canonical_encode",
     "canonical_decode",
     "encode_param_values",
@@ -115,6 +121,52 @@ class _Drbg:
 
 
 # --------------------------------------------------------------------------- #
+# framing
+# --------------------------------------------------------------------------- #
+
+
+def prefixed(data: bytes, width: int) -> bytes:
+    """`data` after its length as a big-endian integer of `width` bytes.
+
+    Raises ValueError when the length does not fit in `width` bytes.
+    """
+    if len(data) >= 1 << (8 * width):
+        raise ValueError(f"field of {len(data)} bytes exceeds a {width}-byte length prefix")
+    return len(data).to_bytes(width, "big") + data
+
+
+class Reader:
+    """Bounds-checked cursor over one encoded blob.
+
+    Every read past the end raises ValueError, and `close` rejects trailing
+    bytes, so a decoder built on it is total over its input.
+    """
+
+    def __init__(self, blob: bytes):
+        self.blob = blob
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        end = self.pos + n
+        if end > len(self.blob):
+            raise ValueError(f"truncated: {n} bytes wanted at offset {self.pos} of {len(self.blob)}")
+        piece = self.blob[self.pos : end]
+        self.pos = end
+        return piece
+
+    def uint(self, width: int) -> int:
+        return int.from_bytes(self.take(width), "big")
+
+    def prefixed(self, width: int) -> bytes:
+        """Read a field written by the module-level `prefixed`."""
+        return self.take(self.uint(width))
+
+    def close(self) -> None:
+        if self.pos != len(self.blob):
+            raise ValueError(f"{len(self.blob) - self.pos} trailing bytes")
+
+
+# --------------------------------------------------------------------------- #
 # canonical message encoding
 # --------------------------------------------------------------------------- #
 
@@ -143,14 +195,10 @@ def canonical_encode(values: Sequence[float] | np.ndarray, round_no: int, client
         raise ValueError(f"round {round_no} out of u32 range")
     if not 0 <= data_size < 1 << 64:
         raise ValueError(f"data size {data_size} out of u64 range")
-    ident = client_id.encode("utf-8")
-    if len(ident) > 0xFFFF:
-        raise ValueError("client id longer than 65535 bytes")
     return (
         _ENC_VERSION
         + round_no.to_bytes(4, "big")
-        + len(ident).to_bytes(2, "big")
-        + ident
+        + prefixed(client_id.encode("utf-8"), 2)
         + data_size.to_bytes(8, "big")
         + encode_param_values(values)
     )
@@ -162,27 +210,15 @@ def canonical_decode(blob: bytes) -> tuple[np.ndarray, int, str, int]:
     Returns (values, round, client_id, data_size).  Raises ValueError on any
     structural problem, including trailing bytes.
     """
-    if len(blob) < 1 or blob[0:1] != _ENC_VERSION:
+    reader = Reader(blob)
+    if reader.take(1) != _ENC_VERSION:
         raise ValueError("bad encoding version")
-    pos = 1
-    if len(blob) < pos + 6:
-        raise ValueError("truncated header")
-    round_no = int.from_bytes(blob[pos : pos + 4], "big")
-    pos += 4
-    id_len = int.from_bytes(blob[pos : pos + 2], "big")
-    pos += 2
-    if len(blob) < pos + id_len + 16:
-        raise ValueError("truncated identity or sizes")
-    client_id = blob[pos : pos + id_len].decode("utf-8")
-    pos += id_len
-    data_size = int.from_bytes(blob[pos : pos + 8], "big")
-    pos += 8
-    count = int.from_bytes(blob[pos : pos + 8], "big")
-    pos += 8
-    if len(blob) != pos + count * 8:
-        raise ValueError("parameter block length mismatch")
-    values = np.frombuffer(blob[pos:], dtype=">f8").astype(np.float64)
-    return values, round_no, client_id, data_size
+    round_no = reader.uint(4)
+    client_id = reader.prefixed(2).decode("utf-8")
+    data_size = reader.uint(8)
+    raw = reader.take(8 * reader.uint(8))
+    reader.close()
+    return np.frombuffer(raw, dtype=">f8").astype(np.float64), round_no, client_id, data_size
 
 
 # --------------------------------------------------------------------------- #
@@ -245,34 +281,17 @@ class RsaPublicKey:
 
     def to_bytes(self) -> bytes:
         """Serialize as scheme id and big-endian (modulus, exponent) octets."""
-        ident = RSA_SCHEME.encode("utf-8")
         n_oct = self.n.to_bytes((self.n.bit_length() + 7) // 8, "big")
         e_oct = self.e.to_bytes((self.e.bit_length() + 7) // 8, "big")
-        return (
-            len(ident).to_bytes(2, "big")
-            + ident
-            + len(n_oct).to_bytes(4, "big")
-            + n_oct
-            + len(e_oct).to_bytes(4, "big")
-            + e_oct
-        )
+        return prefixed(RSA_SCHEME.encode("utf-8"), 2) + prefixed(n_oct, 4) + prefixed(e_oct, 4)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "RsaPublicKey":
-        pos = 2
-        ident_len = int.from_bytes(blob[:2], "big")
-        scheme = blob[pos : pos + ident_len].decode("utf-8")
-        pos += ident_len
-        n_len = int.from_bytes(blob[pos : pos + 4], "big")
-        pos += 4
-        n_oct = blob[pos : pos + n_len]
-        pos += n_len
-        e_len = int.from_bytes(blob[pos : pos + 4], "big")
-        pos += 4
-        e_oct = blob[pos : pos + e_len]
-        pos += e_len
-        if pos != len(blob):
-            raise ValueError("trailing bytes in public key")
+        reader = Reader(blob)
+        scheme = reader.prefixed(2).decode("utf-8")
+        n_oct = reader.prefixed(4)
+        e_oct = reader.prefixed(4)
+        reader.close()
         if n_oct[:1] == b"\x00" or e_oct[:1] == b"\x00":
             raise ValueError("leading zero octet in public key integer")
         n, e = int.from_bytes(n_oct, "big"), int.from_bytes(e_oct, "big")
@@ -470,7 +489,7 @@ def derive_seed(*parts: int | str) -> int:
             hasher.update(b"i" + part.to_bytes(16, "big", signed=True))
         else:
             raw = part.encode("utf-8")
-            hasher.update(b"s" + len(raw).to_bytes(4, "big") + raw)
+            hasher.update(b"s" + prefixed(raw, 4))
     return int.from_bytes(hasher.digest()[:8], "big")
 
 

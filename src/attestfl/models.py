@@ -21,7 +21,6 @@ __all__ = [
     "Model",
     "logistic_regression",
     "mlp",
-    "forward",
     "loss",
     "gradient",
     "local_train",
@@ -124,7 +123,7 @@ def mlp(num_features: int, num_classes: int, hidden_width: int, activation: str 
 
 
 # --------------------------------------------------------------------------- #
-# forward / loss / gradient
+# logits / loss / gradient
 # --------------------------------------------------------------------------- #
 
 
@@ -142,24 +141,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     expd = np.exp(shifted)
     return expd / expd.sum(axis=-1, keepdims=True)
-
-
-def _check_features(model: Model, features: np.ndarray) -> np.ndarray:
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape[-1] != model.num_features:
-        raise ValueError(
-            f"feature width {features.shape[-1]} does not match model ({model.num_features})"
-        )
-    return features
-
-
-def forward(model: Model, features: np.ndarray) -> np.ndarray:
-    """Class probabilities for a single feature row."""
-    row = _check_features(model, features)
-    if row.ndim != 1:
-        raise ValueError("forward takes a single feature row")
-    logits, _ = _logits(model, row[None, :])
-    return _softmax(logits)[0]
 
 
 def _require_data(model: Model, data: Dataset) -> None:

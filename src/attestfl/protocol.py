@@ -76,9 +76,9 @@ __all__ = [
     "run_round",
 ]
 
-_WIRE_VERSION = 0x01
-_FLAG_PLAINTEXT = 0x00
-_FLAG_SEALED = 0x01
+_WIRE_VERSION = b"\x01"
+_FLAG_PLAINTEXT = b"\x00"
+_FLAG_SEALED = b"\x01"
 
 # actor id in the server's own checkpoints
 SERVER_ID = "server"
@@ -136,81 +136,58 @@ class SignedUpdate:
     # ---- serialization ---- #
 
     def to_wire_bytes(self) -> bytes:
-        ident = self.client_id.encode("utf-8")
-        if len(ident) > 0xFFFF:
-            raise ValueError("client id too long")
-        out = bytes([_WIRE_VERSION])
-        out += len(ident).to_bytes(2, "big") + ident
-        out += self.round.to_bytes(4, "big")
-        out += self.data_size.to_bytes(8, "big")
         if self.update is not None:
-            out += bytes([_FLAG_PLAINTEXT])
-            out += crypto.encode_param_values(self.update.values)
+            payload = [_FLAG_PLAINTEXT, crypto.encode_param_values(self.update.values)]
         else:
             env = self.envelope
-            assert env is not None
-            out += bytes([_FLAG_SEALED])
-            out += env.nonce
-            out += len(env.ciphertext).to_bytes(8, "big") + env.ciphertext
-            out += env.tag
-        out += self.digest
-        out += len(self.signature).to_bytes(4, "big") + self.signature
-        report = self.attestation.to_bytes()
-        out += len(report).to_bytes(4, "big") + report
-        return out
+            payload = [_FLAG_SEALED, env.nonce, crypto.prefixed(env.ciphertext, 8), env.tag]
+        return b"".join(
+            [
+                _WIRE_VERSION,
+                crypto.prefixed(self.client_id.encode("utf-8"), 2),
+                self.round.to_bytes(4, "big"),
+                self.data_size.to_bytes(8, "big"),
+            ]
+            + payload
+            + [self.digest, crypto.prefixed(self.signature, 4), crypto.prefixed(self.attestation.to_bytes(), 4)]
+        )
 
     @classmethod
     def from_wire_bytes(cls, blob: bytes, layout) -> "SignedUpdate":
         """Strict parse; any structural defect raises WireFormatError."""
         try:
-            return cls._parse(blob, layout)
-        except WireFormatError:
-            raise
-        except (ValueError, IndexError, OverflowError) as exc:
+            return cls._parse(crypto.Reader(blob), layout)
+        except ValueError as exc:
             raise WireFormatError(str(exc)) from exc
 
     @classmethod
-    def _parse(cls, blob: bytes, layout) -> "SignedUpdate":
-        def take(n: int) -> bytes:
-            nonlocal pos
-            if pos + n > len(blob):
-                raise WireFormatError("truncated message")
-            piece = blob[pos : pos + n]
-            pos += n
-            return piece
-
-        pos = 0
-        if take(1)[0] != _WIRE_VERSION:
-            raise WireFormatError("unsupported wire version")
-        id_len = int.from_bytes(take(2), "big")
-        client_id = take(id_len).decode("utf-8")
-        round_no = int.from_bytes(take(4), "big")
-        data_size = int.from_bytes(take(8), "big")
-        flag = take(1)[0]
+    def _parse(cls, reader: crypto.Reader, layout) -> "SignedUpdate":
+        if reader.take(1) != _WIRE_VERSION:
+            raise ValueError("unsupported wire version")
+        client_id = reader.prefixed(2).decode("utf-8")
+        round_no = reader.uint(4)
+        data_size = reader.uint(8)
+        flag = reader.take(1)
         update: Optional[ParameterVector] = None
         envelope: Optional[crypto.CipherEnvelope] = None
         if flag == _FLAG_PLAINTEXT:
-            count = int.from_bytes(take(8), "big")
+            count = reader.uint(8)
             if count != layout.size:
-                raise WireFormatError(f"expected {layout.size} parameters, got {count}")
-            raw = take(8 * count)
-            values = np.frombuffer(raw, dtype=">f8").astype(np.float64)
+                raise ValueError(f"expected {layout.size} parameters, got {count}")
+            values = np.frombuffer(reader.take(8 * count), dtype=">f8").astype(np.float64)
             update = ParameterVector(values=values, layout=layout)
         elif flag == _FLAG_SEALED:
-            nonce = take(crypto.NONCE_LEN)
-            ct_len = int.from_bytes(take(8), "big")
-            ciphertext = take(ct_len)
-            tag = take(crypto.DIGEST_LEN)
-            envelope = crypto.CipherEnvelope(nonce=nonce, ciphertext=ciphertext, tag=tag)
+            envelope = crypto.CipherEnvelope(
+                nonce=reader.take(crypto.NONCE_LEN),
+                ciphertext=reader.prefixed(8),
+                tag=reader.take(crypto.DIGEST_LEN),
+            )
         else:
-            raise WireFormatError(f"unknown payload flag {flag:#x}")
-        digest = take(crypto.DIGEST_LEN)
-        sig_len = int.from_bytes(take(4), "big")
-        signature = take(sig_len)
-        report_len = int.from_bytes(take(4), "big")
-        report = AttestationReport.from_bytes(take(report_len))
-        if pos != len(blob):
-            raise WireFormatError("trailing bytes")
+            raise ValueError(f"unknown payload flag {flag.hex()}")
+        digest = reader.take(crypto.DIGEST_LEN)
+        signature = reader.prefixed(4)
+        report = AttestationReport.from_bytes(reader.prefixed(4))
+        reader.close()
         return cls(
             client_id=client_id,
             round=round_no,

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from attestfl import crypto
+from attestfl import attestation, crypto, protocol
+from attestfl.params import ParameterLayout, ParameterVector
 
 # ---- fixed digests (FIPS 180-4 examples) ---- #
 
@@ -291,25 +292,106 @@ def test_public_key_rejects_unknown_scheme(keypair):
         assert isinstance(info.value, ValueError)
 
 
+# --------------------------------------------------------------------------- #
+# framing and decoder totality
+# --------------------------------------------------------------------------- #
+
+
+def test_prefixed_and_reader():
+    assert crypto.prefixed(b"ab", 2) == b"\x00\x02ab"
+    with pytest.raises(ValueError):
+        crypto.prefixed(bytes(256), 1)
+    reader = crypto.Reader(b"\x00\x02ab\x07")
+    assert reader.prefixed(2) == b"ab"
+    with pytest.raises(ValueError):
+        reader.close()
+    with pytest.raises(ValueError):
+        reader.uint(2)
+    assert reader.uint(1) == 7
+    reader.close()
+
+
+def _read_checkpoint(blob: bytes) -> bytes:
+    reader = crypto.Reader(blob)
+    checkpoint = attestation.Checkpoint.read(reader)
+    reader.close()
+    return checkpoint.encode()
+
+
+def _decoder_cases() -> dict:
+    """name -> (valid blob, decode-then-re-encode, declared error)."""
+    layout = ParameterLayout((("w", (3,)),))
+    log = attestation.CheckpointLog()
+    for label in (attestation.CheckpointLabel.ROUND_START, attestation.CheckpointLabel.ROUND_END):
+        log = attestation.record_checkpoint(log, attestation.Checkpoint(label, "c1", 4))
+    report = attestation.finalize_report(log, _CACHED_PAIR.private)
+    values = np.array([0.5, -1.0, 2.0])
+
+    def wire(session_key):
+        msg = protocol.build_signed_update(
+            client_id="c1",
+            round_no=4,
+            data_size=9,
+            update=ParameterVector(values, layout),
+            private=_CACHED_PAIR.private,
+            report=report,
+            session_key=session_key,
+        )
+        return msg.to_wire_bytes()
+
+    def rewire(blob):
+        return protocol.SignedUpdate.from_wire_bytes(blob, layout).to_wire_bytes()
+
+    return {
+        "wire-plaintext": (wire(None), rewire, protocol.WireFormatError),
+        "wire-sealed": (wire(bytes(range(32))), rewire, protocol.WireFormatError),
+        "report": (
+            report.to_bytes(),
+            lambda b: attestation.AttestationReport.from_bytes(b).to_bytes(),
+            ValueError,
+        ),
+        "canonical": (
+            crypto.canonical_encode(values, 4, "c1", 9),
+            lambda b: crypto.canonical_encode(*crypto.canonical_decode(b)),
+            ValueError,
+        ),
+        "public-key": (
+            _CACHED_PAIR.public.to_bytes(),
+            lambda b: crypto.RsaPublicKey.from_bytes(b).to_bytes(),
+            ValueError,
+        ),
+        "checkpoint": (log.entries[0].checkpoint.encode(), _read_checkpoint, ValueError),
+    }
+
+
+_DECODER_CASES = _decoder_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_DECODER_CASES))
 @settings(max_examples=300)
-@given(st.data())
-def test_public_key_decode_is_canonical(data):
-    # every mutated blob either fails to parse or re-encodes to itself
-    blob = bytearray(_CACHED_PAIR.public.to_bytes())
+@given(data=st.data())
+def test_decoder_is_total(name, data):
+    # every mutated blob either raises the declared error or re-encodes to itself
+    valid, reencode, declared = _DECODER_CASES[name]
+    blob = bytearray(valid)
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
-        op = data.draw(st.sampled_from(["flip", "insert", "delete"]))
+        if not blob:
+            break
+        op = data.draw(st.sampled_from(["flip", "insert", "delete", "truncate"]))
         at = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
         if op == "flip":
             blob[at] ^= data.draw(st.integers(min_value=1, max_value=255))
         elif op == "insert":
             blob.insert(at, data.draw(st.integers(min_value=0, max_value=255)))
-        else:
+        elif op == "delete":
             del blob[at]
+        else:
+            del blob[at:]
     try:
-        key = crypto.RsaPublicKey.from_bytes(bytes(blob))
-    except ValueError:
+        out = reencode(bytes(blob))
+    except declared:
         return
-    assert key.to_bytes() == bytes(blob)
+    assert out == bytes(blob)
 
 
 # --------------------------------------------------------------------------- #

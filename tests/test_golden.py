@@ -8,6 +8,13 @@ the way `harness.run_experiment` runs it.  One SHA-256 per config covers:
   - every round's per-message outcomes, in delivery order
   - every record in the server's audit log
 
+A second SHA-256 per config (`GOLDEN_WIRE`) covers the wire: every delivery
+the server receives, after the attack plan has rewritten the batch, in
+delivery order over all rounds.  Raw byte payloads are hashed as they are,
+parsed messages as their `to_wire_bytes()`, with no separators.  Sealed and
+plaintext configs differ here, so envelope and attestation-report bytes are
+pinned too.  Both digests come from the same run.
+
 The matrix runs each attack kind sealed and unsealed with security on, and
 the honest and tamper runs with security off, at 1024-bit keys, 3 clients
 and 3 rounds.  A refactor keeps every digest; a change that alters output
@@ -43,8 +50,43 @@ GOLDEN = {
     ("tamper", "on", "off"): "f7966be07a6e315cc7e84994c06174fed0264d9114c45617bfe6f675601e7412",
 }
 
+GOLDEN_WIRE = {
+    ("none", "off", "on"): "9ed13f33a56f3326d1706a3a9bfe5338dd115ce7a63f1f377b7e6ada4583f7a8",
+    ("none", "on", "on"): "98107665c356bff1f04777f700c4ff7713b1f96733d9bed561c366c545999dc6",
+    ("model-poison", "off", "on"): "7f47f6c8cd295cf58477b9c4be296c4e82c03c4500e0c7b5368a74d1ff9c9a4d",
+    ("model-poison", "on", "on"): "bf46c9784292331e5a38edad982137c56c5ba2c7983363867ea49c4844c5ed49",
+    ("data-poison", "off", "on"): "c5f7d8165a42fbee7a120e3bd7f6c46543cc898833641c6b87ab94675121a1a4",
+    ("data-poison", "on", "on"): "b2351b3e9dd3662f7fc94f078a9223af9286cea37fd0744c7c861995176c47a4",
+    ("tamper", "off", "on"): "1e19fae4126a961c1c908f17a4dccd5a6fc8dded908e82321181b8859c0daa86",
+    ("tamper", "on", "on"): "5c96660daebcfb139f911d3488c982b3f953835898745f526c3a9a246d69c3d5",
+    ("sybil", "off", "on"): "aa05b563abf5e1796b9697bc319cbb3e6c42088bf664321dd307c3184cf1b126",
+    ("sybil", "on", "on"): "bd64aedc0dbebe0a0732d4fddd8040d0996886b672b8d65d587a6d5ba2ff4804",
+    ("replay", "off", "on"): "16dc81878a54308d07d634bac9512cd45463c3ca3970cb5c45811ad1372fa0e6",
+    ("replay", "on", "on"): "4ff2eccf0b09691c4f50f08c4126db97bba0554bb55a8062c757bf6eb1a1b73c",
+    ("none", "off", "off"): "9ed13f33a56f3326d1706a3a9bfe5338dd115ce7a63f1f377b7e6ada4583f7a8",
+    ("none", "on", "off"): "98107665c356bff1f04777f700c4ff7713b1f96733d9bed561c366c545999dc6",
+    ("tamper", "off", "off"): "c3f66e523c225c63beb8bdb4faa18439033ecda0a95beb98f2226b5ebd2160d9",
+    ("tamper", "on", "off"): "23875d32d38502ee0777ef03a87382120fb43d82de757cb4ce1b7cef7093eec4",
+}
 
-def golden_digest(kind: str, encrypt: str, security: str, tmp_path) -> str:
+
+class WireRecorder:
+    """Stands in for the round's plan and hashes what the server will receive."""
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.hasher = hashlib.sha256()
+
+    def transform(self, deliveries, round_no, global_params):
+        if self.plan is not None:
+            deliveries = self.plan.transform(deliveries, round_no, global_params)
+        for delivery in deliveries:
+            payload = delivery.payload
+            self.hasher.update(payload if isinstance(payload, bytes) else payload.to_wire_bytes())
+        return deliveries
+
+
+def golden_digests(kind: str, encrypt: str, security: str, tmp_path) -> str:
     config = harness.parse_config(
         "",
         {
@@ -58,10 +100,11 @@ def golden_digest(kind: str, encrypt: str, security: str, tmp_path) -> str:
         },
     )
     sim = harness.build_simulation(config)
+    wire = WireRecorder(sim.plan)
     table = reporting.MetricsTable(client_count=config.clients)
     for _ in range(config.rounds):
         try:
-            report = protocol.run_round(sim.server, sim.clients, plan=sim.plan, eval_data=sim.holdout)
+            report = protocol.run_round(sim.server, sim.clients, plan=wire, eval_data=sim.holdout)
         except protocol.ProtocolError as exc:
             table.aborted = str(exc)
             break
@@ -83,14 +126,17 @@ def golden_digest(kind: str, encrypt: str, security: str, tmp_path) -> str:
         key = None if record.public_key is None else record.public_key.hex()
         fields = (record.round, record.client_id, record.digest.hex(), record.signature.hex(), key)
         hasher.update(repr(fields).encode() + b"\n")
-    return hasher.hexdigest()
+    return hasher.hexdigest(), wire.hasher.hexdigest()
 
 
 def test_matrix_covers_every_attack_kind():
     secured = {kind for kind, _, security in GOLDEN if security == "on"}
     assert secured == adversary.ATTACK_KINDS
+    assert set(GOLDEN_WIRE) == set(GOLDEN)
 
 
 @pytest.mark.parametrize("kind,encrypt,security", sorted(GOLDEN))
 def test_golden_digest(kind, encrypt, security, tmp_path):
-    assert golden_digest(kind, encrypt, security, tmp_path) == GOLDEN[(kind, encrypt, security)]
+    digest, wire = golden_digests(kind, encrypt, security, tmp_path)
+    assert digest == GOLDEN[(kind, encrypt, security)]
+    assert wire == GOLDEN_WIRE[(kind, encrypt, security)]

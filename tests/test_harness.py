@@ -401,7 +401,7 @@ def test_cli_overflowing_poison_drops_the_client_each_round(tmp_path):
         assert poisoned.client_id not in [o.client_id for o in report.outcomes]
         assert len(report.outcomes) == 2
         # the partial trace ends in the re-entered training phase
-        assert [label.value for label in poisoned.last_log.labels()] == [
+        assert [e.checkpoint.label.value for e in poisoned.last_log.entries] == [
             "ROUND_START", "TRAIN_BEGIN", "TRAIN_END", "TRAIN_BEGIN"
         ]
 

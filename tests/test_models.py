@@ -90,15 +90,26 @@ def test_parameter_arithmetic_and_layout_guard():
 # --------------------------------------------------------------------------- #
 
 
+def class_probabilities(model: models.Model, row) -> np.ndarray:
+    """Forward pass of one feature row through the loss: on a one-row dataset,
+    exp(-loss) is the probability the model gives that row's label."""
+    return np.array(
+        [
+            math.exp(-models.loss(model, Dataset(features=[row], labels=[label], num_classes=model.num_classes)))
+            for label in range(model.num_classes)
+        ]
+    )
+
+
 def test_forward_uniform_at_zero_parameters():
     model = models.logistic_regression(2, 2)
-    probs = models.forward(model, np.array([3.0, -1.0]))
+    probs = class_probabilities(model, [3.0, -1.0])
     assert np.allclose(probs, [0.5, 0.5], atol=1e-15)
 
 
 def test_forward_probabilities_normalised():
     model = models.mlp(4, 3, hidden_width=5, seed=1)
-    probs = models.forward(model, np.arange(4.0))
+    probs = class_probabilities(model, np.arange(4.0))
     assert abs(probs.sum() - 1.0) < 1e-12
     assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
 
@@ -116,7 +127,7 @@ def test_forward_mlp_matches_scalar_arithmetic():
     h1 = math.tanh(0.5 * x[1])
     e0, e1 = math.exp(h0), math.exp(h1)
     expected = np.array([e0 / (e0 + e1), e1 / (e0 + e1)])
-    assert np.allclose(models.forward(model, np.array(x)), expected, atol=1e-15)
+    assert np.allclose(class_probabilities(model, x), expected, atol=1e-15)
 
 
 def test_loss_uniform_is_log_num_classes():

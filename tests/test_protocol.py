@@ -238,7 +238,7 @@ def test_wire_rejects_wrong_parameter_count():
 def test_client_trace_matches_client_graph():
     server, clients = make_world()
     msg = honest_message(clients[0], server)
-    labels = msg.attestation.log.labels()
+    labels = [e.checkpoint.label for e in msg.attestation.log.entries]
     assert labels == [
         CheckpointLabel.ROUND_START,
         CheckpointLabel.TRAIN_BEGIN,
@@ -256,7 +256,7 @@ def test_compromised_client_trace_shows_training_reentry():
     server, clients = make_world()
     clients[0].compromise = lambda update, round_no: scaled(update, -10.0)
     msg = honest_message(clients[0], server)
-    labels = msg.attestation.log.labels()
+    labels = [e.checkpoint.label for e in msg.attestation.log.entries]
     # the rewrite pass appears as a second TRAIN_BEGIN/TRAIN_END pair
     assert labels[2:5] == [
         CheckpointLabel.TRAIN_END,
@@ -290,7 +290,7 @@ def test_dropout_keeps_partial_log():
         dh_params=crypto.TOY_DH_GROUP,
     )
     assert client_round(diverging, ARCH.params, 0) is None
-    labels = diverging.last_log.labels()
+    labels = [e.checkpoint.label for e in diverging.last_log.entries]
     assert labels == [CheckpointLabel.ROUND_START, CheckpointLabel.TRAIN_BEGIN]
     # the partial trace is provably incomplete: it never reaches the end label
     assert labels[-1] != CheckpointLabel.ROUND_END
