@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -60,6 +60,10 @@ ATTACK_KINDS = frozenset(
 )
 
 
+# training examples behind each fabricated sybil actor
+_SYBIL_SHARD_SIZE = 30
+
+
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -89,10 +93,6 @@ class AttackConfig:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
-    @property
-    def active(self) -> bool:
-        return self.kind != ATTACK_NONE
-
 
 def choose_compromised(client_ids: Sequence[str], fraction: float, seed: int) -> frozenset[str]:
     """Pick round-half-up(fraction * n) distinct clients, seeded."""
@@ -110,27 +110,19 @@ def choose_compromised(client_ids: Sequence[str], fraction: float, seed: int) ->
 # --------------------------------------------------------------------------- #
 
 
-def make_poison(
-    strength: float,
-    seed: int,
-    noise_scale: Optional[float] = None,
-) -> Callable[[ParameterVector, int], ParameterVector]:
+def make_poison(strength: float, seed: int) -> Callable[[ParameterVector, int], ParameterVector]:
     """Update rewrite for a compromised runtime: strength * update + noise.
 
-    Noise is Gaussian with the given scale (default |strength|), drawn from
-    a stream keyed by seed and round so repeated rounds differ but reruns
-    do not.  strength=1 with noise_scale=0 reproduces the input exactly.
-    A rewrite that overflows raises TrainingError, so the client drops out
-    of that round as if its training had failed.
+    Noise is Gaussian with scale |strength|, drawn from a stream keyed by
+    seed and round so repeated rounds differ but reruns do not.  A rewrite
+    that overflows raises TrainingError, so the client drops out of that
+    round as if its training had failed.
     """
-    scale = abs(strength) if noise_scale is None else noise_scale
-    if scale < 0 or not math.isfinite(scale):
-        raise ValueError("noise scale must be finite and non-negative")
 
     def rewrite(update: ParameterVector, round_no: int) -> ParameterVector:
         rng = np.random.default_rng(crypto.derive_seed("poison", seed, round_no))
         with np.errstate(over="ignore", invalid="ignore"):  # detected below, not warned
-            values = strength * update.values + rng.standard_normal(update.size) * scale
+            values = strength * update.values + rng.standard_normal(update.size) * abs(strength)
         if not np.all(np.isfinite(values)):
             raise TrainingError("poisoned update is not finite")
         return ParameterVector(values, update.layout)
@@ -180,7 +172,6 @@ def spawn_sybils(
     seed: int,
     key_bits: int = 2048,
     dh_params: crypto.DhParams = crypto.MODP_2048,
-    per_sybil: int = 30,
 ) -> list[ClientActor]:
     """Fabricated actors with their own keys, data, and legal-looking traces.
 
@@ -191,7 +182,7 @@ def spawn_sybils(
         return []
     shards = datasets.generate_synthetic(
         num_clients=count,
-        per_client=per_sybil,
+        per_client=_SYBIL_SHARD_SIZE,
         num_features=num_features,
         num_classes=num_classes,
         separation=separation,

@@ -156,9 +156,13 @@ _SERVER_PATH = (
 
 DEFAULT_SERVER_GRAPH = ControlFlowGraph(
     nodes=frozenset(_SERVER_PATH),
-    # the receive label loops so one round can take any number of messages
+    # the receive label loops, or is skipped, so one round can take any
+    # number of messages, none included
     edges=_chain(_SERVER_PATH)
-    | {(CheckpointLabel.SERVER_RECEIVED, CheckpointLabel.SERVER_RECEIVED)},
+    | {
+        (CheckpointLabel.SERVER_RECEIVED, CheckpointLabel.SERVER_RECEIVED),
+        (CheckpointLabel.ROUND_START, CheckpointLabel.SERVER_VERIFIED),
+    },
     start=CheckpointLabel.ROUND_START,
     end=CheckpointLabel.ROUND_END,
 )

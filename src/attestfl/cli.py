@@ -25,6 +25,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every flag but --config and --out stores under the config key it overrides."""
     parser = _Parser(
         prog="attestfl",
         description="Simulate attested federated learning rounds and report security metrics.",
@@ -36,43 +37,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--encrypt", choices=("on", "off"), help="seal updates under session keys")
     parser.add_argument(
         "--attack",
+        dest="attack.kind",
         metavar="KIND",
         help="adversary kind: none, model-poison, data-poison, tamper, sybil, replay",
     )
-    parser.add_argument("--attack-fraction", type=float, metavar="F", help="share of clients compromised")
-    parser.add_argument("--attack-strength", type=float, metavar="S", help="poison scaling factor")
+    parser.add_argument(
+        "--attack-fraction", dest="attack.fraction", type=float, metavar="F", help="share of clients compromised"
+    )
+    parser.add_argument(
+        "--attack-strength", dest="attack.strength", type=float, metavar="S", help="poison scaling factor"
+    )
     parser.add_argument("--seed", type=int, metavar="N", help="master seed for the whole experiment")
     parser.add_argument("--out", metavar="PATH", help="write the per-round metrics table as CSV")
-    parser.add_argument("--dataset", choices=("synthetic", "idx"), help="data source")
-    parser.add_argument("--idx-images", metavar="PATH", help="IDX image file (dataset=idx)")
-    parser.add_argument("--idx-labels", metavar="PATH", help="IDX label file (dataset=idx)")
-    parser.add_argument("--subset", type=int, metavar="N", help="IDX examples to load (dataset=idx)")
+    parser.add_argument("--dataset", dest="data.source", choices=("synthetic", "idx"), help="data source")
+    parser.add_argument(
+        "--idx-images", dest="data.idx_images", metavar="PATH", help="IDX image file (dataset=idx)"
+    )
+    parser.add_argument(
+        "--idx-labels", dest="data.idx_labels", metavar="PATH", help="IDX label file (dataset=idx)"
+    )
+    parser.add_argument(
+        "--subset", dest="data.subset", type=int, metavar="N", help="IDX examples to load (dataset=idx)"
+    )
     return parser
 
 
-_FLAG_TO_KEY = {
-    "rounds": "rounds",
-    "clients": "clients",
-    "security": "security",
-    "encrypt": "encrypt",
-    "attack": "attack.kind",
-    "attack_fraction": "attack.fraction",
-    "attack_strength": "attack.strength",
-    "seed": "seed",
-    "dataset": "data.source",
-    "idx_images": "data.idx_images",
-    "idx_labels": "data.idx_labels",
-    "subset": "data.subset",
-}
-
-
 def _overrides(args: argparse.Namespace) -> dict[str, str]:
-    out = {}
-    for attr, key in _FLAG_TO_KEY.items():
-        value = getattr(args, attr)
-        if value is not None:
-            out[key] = str(value)
-    return out
+    return {
+        key: str(value)
+        for key, value in vars(args).items()
+        if value is not None and key not in ("config", "out")
+    }
 
 
 def _fmt(value: Optional[float]) -> str:
@@ -109,11 +104,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         config = harness.parse_config(text, overrides=_overrides(args))
+        # data files are read, and can be rejected, only when the run starts
+        table = harness.run_experiment(config, out_path=args.out)
     except ConfigError as exc:
         print(f"attestfl: config error: {exc}", file=sys.stderr)
         return 1
 
-    table = harness.run_experiment(config, out_path=args.out)
     if table.reports:
         _print_table(table)
     if table.aborted:

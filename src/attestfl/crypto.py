@@ -532,10 +532,7 @@ def _check_key_nonce(key: bytes, nonce: bytes) -> None:
 def encrypt(key: bytes, nonce: bytes, plaintext: bytes) -> CipherEnvelope:
     """Encrypt and authenticate.  Keystream block i is hash(key, nonce, i)."""
     _check_key_nonce(key, nonce)
-    if len(plaintext) == 0:
-        ciphertext = b""
-    else:
-        ciphertext = _xor(plaintext, _keystream(key, nonce, len(plaintext)))
+    ciphertext = _xor(plaintext, _keystream(key, nonce, len(plaintext)))
     tag = sha256(key + nonce + ciphertext)
     return CipherEnvelope(nonce=nonce, ciphertext=ciphertext, tag=tag)
 
@@ -547,6 +544,4 @@ def decrypt(key: bytes, envelope: CipherEnvelope) -> bytes:
     expected = sha256(key + envelope.nonce + envelope.ciphertext)
     if expected != envelope.tag:
         raise IntegrityError("authentication tag mismatch")
-    if len(envelope.ciphertext) == 0:
-        return b""
     return _xor(envelope.ciphertext, _keystream(key, envelope.nonce, len(envelope.ciphertext)))

@@ -12,6 +12,7 @@ the same config produce identical tables except for wall-clock durations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -80,8 +81,8 @@ class DataSpec:
             raise ConfigError(f"unknown data source {self.source!r}")
         if self.features < 1 or self.classes < 1:
             raise ConfigError("data.features and data.classes must be positive")
-        if self.separation < 0:
-            raise ConfigError("data.separation must be non-negative")
+        if not 0 <= self.separation < math.inf:
+            raise ConfigError("data.separation must be finite and non-negative")
         if self.per_client < 1:
             raise ConfigError("data.per_client must be positive")
         if self.subset < 1:
@@ -222,23 +223,15 @@ def parse_entries(entries: dict[str, str]) -> ExperimentConfig:
             kwargs[renames.get(name, name)] = value
         return cls(**kwargs)
 
-    seed = int(values.get("seed", 0))
-    attack_kwargs = {
-        k.split(".", 1)[1]: v for k, v in values.items() if k.startswith("attack.")
-    }
-    attack_kwargs.setdefault("seed", seed)
+    values.setdefault("attack.seed", values.get("seed", ExperimentConfig.seed))
     try:
         return ExperimentConfig(
-            rounds=values.get("rounds", 5),
-            clients=values.get("clients", 4),
-            seed=seed,
-            security=values.get("security", True),
-            encrypt=values.get("encrypt", False),
+            **{key: value for key, value in values.items() if "." not in key},
             model=pick("model", ModelSpec),
             data=pick("data", DataSpec),
             train=pick("train", TrainSpec, lr="learning_rate", batch="batch_size", epochs="epochs"),
             crypto=pick("crypto", CryptoSpec),
-            attack=AttackConfig(**attack_kwargs),
+            attack=pick("attack", AttackConfig),
         )
     except ConfigError:
         raise
@@ -319,9 +312,12 @@ def _load_data(config: ExperimentConfig) -> tuple[list[Dataset], Dataset]:
         )
         return shards, holdout
 
-    pool = datasets.load_idx(
-        data.idx_images, data.idx_labels, subset=data.subset, seed=crypto.derive_seed(config.seed, "data")
-    )
+    try:
+        pool = datasets.load_idx(
+            data.idx_images, data.idx_labels, subset=data.subset, seed=crypto.derive_seed(config.seed, "data")
+        )
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"data.idx_images / data.idx_labels / data.subset: {exc}") from exc
     # last fifth held out, remainder dealt round-robin across clients
     cut = max(config.clients, (pool.size * 4) // 5)
     if cut >= pool.size:
@@ -357,7 +353,7 @@ def build_simulation(config: ExperimentConfig) -> Simulation:
     attack = config.attack
     client_ids = [f"client-{i}" for i in range(config.clients)]
     compromised: frozenset[str] = frozenset()
-    if attack.active and attack.kind in (
+    if attack.kind in (
         adversary.ATTACK_MODEL_POISON,
         adversary.ATTACK_DATA_POISON,
         adversary.ATTACK_TAMPER,

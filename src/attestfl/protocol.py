@@ -11,7 +11,8 @@ One round, from the server's point of view:
   4. surviving updates are combined by a data-size-weighted mean and added
      to the global parameters
   5. the server checkpoints its own pipeline and self-verifies the trace
-     before committing the new state and the round's audit records; a
+     before committing the new state and the round's audit records; it
+     does so every round, including one where nothing arrived, and a
      round that aborts leaves the server exactly as it was
 
 Verification order matters: a forged sender must be rejected as
@@ -109,23 +110,20 @@ class AggregationError(ValueError):
 class SignedUpdate:
     """One client's contribution for one round.
 
-    Carries either the parameter update in the clear or a sealed envelope,
-    never both.  The digest and signature always cover the canonical
-    plaintext encoding, so sealing does not change what is signed.
+    `update` is the parameter update in the clear or a sealed envelope of
+    its canonical encoding.  The digest and signature always cover the
+    canonical plaintext encoding, so sealing does not change what is signed.
     """
 
     client_id: str
     round: int
     data_size: int
-    update: Optional[ParameterVector]
-    envelope: Optional[crypto.CipherEnvelope]
+    update: Union[ParameterVector, crypto.CipherEnvelope]
     digest: bytes
     signature: bytes
     attestation: AttestationReport
 
     def __post_init__(self) -> None:
-        if (self.update is None) == (self.envelope is None):
-            raise ValueError("exactly one of update and envelope must be set")
         if len(self.digest) != crypto.DIGEST_LEN:
             raise ValueError("digest must be 32 bytes")
         if not 0 <= self.round < 1 << 32:
@@ -136,11 +134,11 @@ class SignedUpdate:
     # ---- serialization ---- #
 
     def to_wire_bytes(self) -> bytes:
-        if self.update is not None:
-            payload = [_FLAG_PLAINTEXT, crypto.encode_param_values(self.update.values)]
+        update = self.update
+        if isinstance(update, ParameterVector):
+            payload = [_FLAG_PLAINTEXT, crypto.encode_param_values(update.values)]
         else:
-            env = self.envelope
-            payload = [_FLAG_SEALED, env.nonce, crypto.prefixed(env.ciphertext, 8), env.tag]
+            payload = [_FLAG_SEALED, update.nonce, crypto.prefixed(update.ciphertext, 8), update.tag]
         return b"".join(
             [
                 _WIRE_VERSION,
@@ -168,8 +166,7 @@ class SignedUpdate:
         round_no = reader.uint(4)
         data_size = reader.uint(8)
         flag = reader.take(1)
-        update: Optional[ParameterVector] = None
-        envelope: Optional[crypto.CipherEnvelope] = None
+        update: Union[ParameterVector, crypto.CipherEnvelope]
         if flag == _FLAG_PLAINTEXT:
             count = reader.uint(8)
             if count != layout.size:
@@ -177,7 +174,7 @@ class SignedUpdate:
             values = np.frombuffer(reader.take(8 * count), dtype=">f8").astype(np.float64)
             update = ParameterVector(values=values, layout=layout)
         elif flag == _FLAG_SEALED:
-            envelope = crypto.CipherEnvelope(
+            update = crypto.CipherEnvelope(
                 nonce=reader.take(crypto.NONCE_LEN),
                 ciphertext=reader.prefixed(8),
                 tag=reader.take(crypto.DIGEST_LEN),
@@ -193,7 +190,6 @@ class SignedUpdate:
             round=round_no,
             data_size=data_size,
             update=update,
-            envelope=envelope,
             digest=digest,
             signature=signature,
             attestation=report,
@@ -218,25 +214,14 @@ def build_signed_update(
     blob = crypto.canonical_encode(update.values, round_no, client_id, data_size)
     digest = crypto.sha256(blob)
     signature = crypto.sign(digest, private)
-    if session_key is None:
-        return SignedUpdate(
-            client_id=client_id,
-            round=round_no,
-            data_size=data_size,
-            update=update,
-            envelope=None,
-            digest=digest,
-            signature=signature,
-            attestation=report,
-        )
-    nonce = crypto.derive_nonce(client_id, round_no)
-    envelope = crypto.encrypt(session_key, nonce, blob)
+    payload: Union[ParameterVector, crypto.CipherEnvelope] = update
+    if session_key is not None:
+        payload = crypto.encrypt(session_key, crypto.derive_nonce(client_id, round_no), blob)
     return SignedUpdate(
         client_id=client_id,
         round=round_no,
         data_size=data_size,
-        update=None,
-        envelope=envelope,
+        update=payload,
         digest=digest,
         signature=signature,
         attestation=report,
@@ -417,7 +402,7 @@ def _open(
     wrong count or not finite.
     """
     try:
-        blob = crypto.decrypt(session_key, msg.envelope)
+        blob = crypto.decrypt(session_key, msg.update)
         values, *header = crypto.canonical_decode(blob)
         return blob, tuple(header), ParameterVector(values=values, layout=layout)
     except (ValueError, crypto.CryptoError):
@@ -439,20 +424,20 @@ def server_verify(
     attestation against DEFAULT_CLIENT_GRAPH.  The first failure decides the
     reason.
     """
+    public = registry.get(msg.client_id)
     update, blob = msg.update, None
-    if msg.envelope is not None and session_key is not None:
+    if isinstance(update, crypto.CipherEnvelope):
+        if session_key is None:
+            # no key to open it with: the identity check decides first
+            return (REASON_UNKNOWN_IDENTITY if public is None else REASON_DECRYPT_FAILURE), None
         opened = _open(msg, layout, session_key)
         # header fields travel in the clear; the sealed blob must agree
         if opened is None or opened[1] != (msg.round, msg.client_id, msg.data_size):
             return REASON_DECRYPT_FAILURE, None
         blob, _, update = opened
 
-    public = registry.get(msg.client_id)
     if public is None:
         return REASON_UNKNOWN_IDENTITY, None
-    if update is None:
-        # sealed message from a registered sender with no session key
-        return REASON_DECRYPT_FAILURE, None
 
     if blob is None:
         blob = crypto.canonical_encode(update.values, msg.round, msg.client_id, msg.data_size)
@@ -639,7 +624,7 @@ def _accept_unverified(
     session_key: Optional[bytes],
 ) -> tuple[str, Optional[ParameterVector]]:
     """Security-off path: open the payload if possible, accept whatever it says."""
-    if msg.update is not None:
+    if isinstance(msg.update, ParameterVector):
         return REASON_OK, msg.update
     opened = None if session_key is None else _open(msg, layout, session_key)
     if opened is None:
@@ -647,18 +632,12 @@ def _accept_unverified(
     return REASON_OK, opened[2]
 
 
-def _evaluate_global(server: Server, eval_data: Optional[Dataset]) -> float:
-    if eval_data is None:
-        return float("nan")
-    return models.evaluate(server.architecture.with_params(server.state.params), eval_data)
-
-
 def run_round(
     server: Server,
     clients: Sequence[ClientActor],
     *,
     plan=None,
-    eval_data: Optional[Dataset] = None,
+    eval_data: Dataset,
 ) -> RoundReport:
     """Execute one full round and return its report.
 
@@ -681,21 +660,6 @@ def run_round(
             )
     if plan is not None:
         deliveries = plan.transform(deliveries, round_no, server.state.params)
-
-    if not deliveries:
-        # degenerate round: nothing arrived, so there is no intake pipeline
-        # to attest; carry the parameters forward unchanged
-        server.state = advance_round(server.state)
-        accuracy = _evaluate_global(server, eval_data)
-        return RoundReport(
-            round=server.state.round,
-            outcomes=[],
-            verification_rate=None,
-            authentication_rate=None,
-            non_repudiation_incidents=0,
-            accuracy=accuracy,
-            duration_s=time.perf_counter() - started,
-        )
 
     # everything below is staged and committed only after the self-check
     outcomes: list[MessageOutcome] = []
@@ -729,7 +693,7 @@ def run_round(
         )
     server.state = new_state
     server.audit_log.extend(round_audit)
-    accuracy = _evaluate_global(server, eval_data)
+    accuracy = models.evaluate(server.architecture.with_params(new_state.params), eval_data)
 
     verification, authentication, incidents = reporting.compute_metrics(outcomes, round_audit)
     return RoundReport(

@@ -43,7 +43,7 @@ def update_of(*values):
 
 def test_attack_config_defaults_are_valid():
     cfg = AttackConfig()
-    assert cfg.kind == "none" and not cfg.active
+    assert cfg.kind == "none"
 
 
 @pytest.mark.parametrize(
@@ -89,16 +89,21 @@ def test_choose_compromised_is_deterministic_and_subset():
 # ---- poisoning ---- #
 
 
+def poison_noise(seed, round_no, size):
+    return np.random.default_rng(crypto.derive_seed("poison", seed, round_no)).standard_normal(size)
+
+
 def test_poison_identity_case():
+    # strength 1 keeps the update and adds unit-scale noise
     u = update_of(1.0, -2.0, 0.5, 3.0, -1.0, 0.0)
-    rewrite = make_poison(1.0, seed=0, noise_scale=0.0)
-    assert np.array_equal(rewrite(u, 3).values, u.values)
+    rewrite = make_poison(1.0, seed=0)
+    assert np.array_equal(rewrite(u, 3).values, 1.0 * u.values + 1.0 * poison_noise(0, 3, u.size))
 
 
-def test_poison_pure_scaling_with_zero_noise():
+def test_poison_scales_update_and_adds_noise():
     u = update_of(1.0, -2.0, 0.5, 3.0, -1.0, 0.25)
-    rewrite = make_poison(-10.0, seed=0, noise_scale=0.0)
-    assert np.array_equal(rewrite(u, 0).values, -10.0 * u.values)
+    rewrite = make_poison(-10.0, seed=0)
+    assert np.array_equal(rewrite(u, 0).values, -10.0 * u.values + 10.0 * poison_noise(0, 0, u.size))
 
 
 def test_poison_noise_is_seeded_per_round():
@@ -107,13 +112,6 @@ def test_poison_noise_is_seeded_per_round():
     same_round = rewrite(u, 1)
     assert np.array_equal(same_round.values, rewrite(u, 1).values)
     assert not np.array_equal(same_round.values, rewrite(u, 2).values)
-
-
-def test_poison_rejects_bad_noise_scale():
-    with pytest.raises(ValueError):
-        make_poison(1.0, seed=0, noise_scale=-1.0)
-    with pytest.raises(ValueError):
-        make_poison(1.0, seed=0, noise_scale=float("nan"))
 
 
 def test_poison_overflow_is_a_training_failure():

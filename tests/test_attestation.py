@@ -85,18 +85,18 @@ def test_cfa_check_foreign_label_scores_zero():
 def test_server_graph_allows_repeated_receives():
     g = DEFAULT_SERVER_GRAPH
     assert cfa_check(g, CheckpointLabel.SERVER_RECEIVED, CheckpointLabel.SERVER_RECEIVED) is True
-    labels = [
-        CheckpointLabel.ROUND_START,
-        CheckpointLabel.SERVER_RECEIVED,
-        CheckpointLabel.SERVER_RECEIVED,
-        CheckpointLabel.SERVER_RECEIVED,
-        CheckpointLabel.SERVER_VERIFIED,
-        CheckpointLabel.AGGREGATED,
-        CheckpointLabel.GLOBAL_APPLIED,
-        CheckpointLabel.ROUND_END,
-    ]
-    report = finalize_report(build_log(labels, actor="server", round_no=2), KEYS.private)
-    assert verify_trace(g, report, KEYS.public).ok
+    # zero receives is a round where nothing arrived
+    for receives in (0, 1, 3):
+        labels = [
+            CheckpointLabel.ROUND_START,
+            *[CheckpointLabel.SERVER_RECEIVED] * receives,
+            CheckpointLabel.SERVER_VERIFIED,
+            CheckpointLabel.AGGREGATED,
+            CheckpointLabel.GLOBAL_APPLIED,
+            CheckpointLabel.ROUND_END,
+        ]
+        report = finalize_report(build_log(labels, actor="server", round_no=2), KEYS.private)
+        assert verify_trace(g, report, KEYS.public).ok, receives
 
 
 # --------------------------------------------------------------------------- #

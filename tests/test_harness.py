@@ -104,6 +104,8 @@ def test_attack_seed_inherits_main_seed():
         ("attack.kind = ddos", "unknown attack kind"),
         ("crypto.key_bits = 512", "1024 or 2048"),
         ("data.source = idx", "idx_images"),
+        ("data.separation = nan", "data.separation must be finite"),
+        ("data.separation = inf", "data.separation must be finite"),
     ],
 )
 def test_config_errors_carry_context(text, fragment):
@@ -418,6 +420,22 @@ def test_cli_rejects_missing_config_file(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "cannot read config" in captured.err
+
+
+@pytest.mark.parametrize(
+    "case, fragment",
+    [("missing", "No such file"), ("corrupt", "bad images magic"), ("too-small", "too small")],
+)
+def test_cli_bad_data_files_are_config_errors(tmp_path, capsys, case, fragment):
+    images, labels = write_idx(tmp_path, count=6, img_magic=0x802 if case == "corrupt" else 0x803)
+    if case == "missing":
+        images = str(tmp_path / "absent.idx")
+    subset = "3" if case == "too-small" else "6"
+    args = ["--dataset", "idx", "--idx-images", images, "--idx-labels", labels, "--subset", subset]
+    code = cli.main([*args, "--clients", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("attestfl: config error: ") and fragment in captured.err
 
 
 def test_cli_usage_error_exits_one():

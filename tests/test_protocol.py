@@ -15,15 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attestfl import crypto, datasets, models, reporting
+from attestfl import crypto, datasets, models, protocol, reporting
 from attestfl.attestation import (
-    AttestationReport,
     Checkpoint,
     CheckpointLabel,
     CheckpointLog,
     DEFAULT_CLIENT_GRAPH,
+    DEFAULT_SERVER_GRAPH,
     finalize_report,
     record_checkpoint,
+    verify_trace,
 )
 from attestfl.models import TrainingConfig
 from attestfl.params import ParameterLayout, ParameterVector
@@ -159,21 +160,6 @@ def test_digest_covers_canonical_encoding():
     assert crypto.verify(msg.digest, msg.signature, clients[0].sig_pair.public)
 
 
-def test_signed_update_requires_exactly_one_payload():
-    report = AttestationReport(log=CheckpointLog(), final_digest=b"\x00" * 32, signature=b"")
-    with pytest.raises(ValueError):
-        SignedUpdate(
-            client_id="a",
-            round=0,
-            data_size=1,
-            update=None,
-            envelope=None,
-            digest=b"\x00" * 32,
-            signature=b"",
-            attestation=report,
-        )
-
-
 def test_wire_round_trip_plaintext():
     server, clients = make_world()
     msg = honest_message(clients[0], server)
@@ -190,9 +176,9 @@ def test_wire_round_trip_plaintext():
 def test_wire_round_trip_sealed():
     server, clients = make_world(encrypt=True)
     msg = honest_message(clients[0], server)
-    assert msg.update is None and msg.envelope is not None
+    assert isinstance(msg.update, crypto.CipherEnvelope)
     back = SignedUpdate.from_wire_bytes(msg.to_wire_bytes(), LAYOUT)
-    assert back.envelope == msg.envelope
+    assert back.update == msg.update
     reason, update = verify_with(server, back)
     assert reason == reporting.REASON_OK and update is not None
 
@@ -384,8 +370,9 @@ def test_verify_decrypt_failure_on_corrupted_envelope():
 
     server, clients = make_world(encrypt=True)
     msg = honest_message(clients[0], server)
-    bad_ct = bytes([msg.envelope.ciphertext[0] ^ 0x01]) + msg.envelope.ciphertext[1:]
-    broken = dc_replace(msg, envelope=crypto.CipherEnvelope(msg.envelope.nonce, bad_ct, msg.envelope.tag))
+    env = msg.update
+    bad_ct = bytes([env.ciphertext[0] ^ 0x01]) + env.ciphertext[1:]
+    broken = dc_replace(msg, update=crypto.CipherEnvelope(env.nonce, bad_ct, env.tag))
     reason, _ = verify_with(server, broken)
     assert reason == reporting.REASON_DECRYPT_FAILURE
 
@@ -583,6 +570,27 @@ def test_round_with_no_deliveries_is_flagged_degenerate():
     assert server.state.params is before
 
 
+def test_empty_round_self_verifies_server_trace(monkeypatch):
+    server, _ = make_world()
+    checks = []
+
+    def spy(graph, report, public):
+        verdict = verify_trace(graph, report, public)
+        checks.append((graph, [e.checkpoint.label for e in report.log.entries], public, verdict.ok))
+        return verdict
+
+    monkeypatch.setattr(protocol, "verify_trace", spy)
+    run_round(server, [], eval_data=HOLDOUT)
+    labels = [
+        CheckpointLabel.ROUND_START,
+        CheckpointLabel.SERVER_VERIFIED,
+        CheckpointLabel.AGGREGATED,
+        CheckpointLabel.GLOBAL_APPLIED,
+        CheckpointLabel.ROUND_END,
+    ]
+    assert checks == [(DEFAULT_SERVER_GRAPH, labels, server.sig_pair.public, True)]
+
+
 def test_encrypted_round_matches_plaintext_round_accuracy():
     server_a, clients_a = make_world(encrypt=False)
     server_b, clients_b = make_world(encrypt=True)
@@ -629,8 +637,7 @@ def sealed_nan_message(client, server, round_no=0):
         client_id=client.client_id,
         round=round_no,
         data_size=client.data.size,
-        update=None,
-        envelope=crypto.encrypt(client.session_key, nonce, blob),
+        update=crypto.encrypt(client.session_key, nonce, blob),
         digest=digest,
         signature=crypto.sign(digest, client.sig_pair.private),
         attestation=honest.attestation,

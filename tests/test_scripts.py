@@ -1,17 +1,23 @@
-"""Smoke tests of the study scripts: each runs end to end at a tiny size.
+"""Smoke tests of the study scripts and the bench tracer's hooks.
 
 The scripts read the public report types (`RoundReport`, `MetricsTable`),
 so a change to those types shows up here rather than in a later study.
+The tracer wraps package attributes by name, so a refactor that drops one
+(say a by-name import into `protocol`) shows up here rather than only in a
+minute-long bench run.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import attestfl
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,3 +38,12 @@ def test_script_exits_zero(script, args):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_bench_tracer_resolves_every_wrapped_name():
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    # construction looks up every wrapped attribute (KeyError if one is
+    # gone) and installs nothing
+    tracer.Tracer(attestfl)
