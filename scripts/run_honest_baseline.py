@@ -9,7 +9,7 @@ means the pipeline itself is broken.
 
 import argparse
 
-from attestfl import harness
+from attestfl import harness, reporting
 
 
 def main() -> int:
@@ -31,7 +31,7 @@ def main() -> int:
         encrypt = {'on' if args.encrypt else 'off'}
         """
     )
-    table = harness.run_experiment(cfg, out_path=args.out)
+    table = harness.run_experiment(cfg)
 
     print(f"{'round':>6} {'verified%':>10} {'auth%':>8} {'incidents':>10} {'accuracy':>9} {'ms':>7}")
     for r in table.reports:
@@ -46,6 +46,7 @@ def main() -> int:
     )
     print(f"\nfinal accuracy {table.final_accuracy:.4f}; all rounds clean: {clean}")
     if args.out:
+        reporting.emit_csv(table, args.out)
         print(f"table written to {args.out}")
     return 0 if clean else 1
 

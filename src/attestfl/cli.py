@@ -1,7 +1,7 @@
 """Command-line front end for running federated attestation experiments.
 
-Exit codes: 0 run completed, 1 bad usage or config, 2 run aborted by a
-server-side integrity failure.
+Exit codes: 0 run completed, 1 bad usage, config or CSV path, 2 run aborted
+by a server-side integrity failure.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from . import harness
 from .harness import ConfigError
-from .reporting import MetricsTable
+from .reporting import MetricsTable, emit_csv
 
 __all__ = ["main", "build_parser"]
 
@@ -105,13 +105,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = harness.parse_config(text, overrides=_overrides(args))
         # data files are read, and can be rejected, only when the run starts
-        table = harness.run_experiment(config, out_path=args.out)
+        table = harness.run_experiment(config)
     except ConfigError as exc:
         print(f"attestfl: config error: {exc}", file=sys.stderr)
         return 1
 
     if table.reports:
         _print_table(table)
+        if args.out is not None:
+            try:
+                emit_csv(table, args.out)
+            except OSError as exc:
+                print(f"attestfl: cannot write CSV: {exc}", file=sys.stderr)
+                return 1
     if table.aborted:
         print(f"attestfl: run aborted: {table.aborted}", file=sys.stderr)
         return 2

@@ -3,10 +3,11 @@
 Everything here is deterministic given its seed arguments, which keeps whole
 simulation runs reproducible down to the byte.  The constructions are
 simulation-grade: textbook RSA with fixed padding (signing uses the CRT form
-of the private key), classic finite-field Diffie-Hellman, and a hash-counter
-stream cipher with a keyed-hash tag.  None of this should guard real traffic;
-it exists so the protocol layer has honest cryptographic behaviour (forgeries
-fail, tampering is detected) without nondeterministic key material.
+of the private key), classic finite-field Diffie-Hellman, and encrypt-then-MAC
+with a SHAKE-256 keystream and an HMAC-SHA256 tag.  None of this should guard
+real traffic; it exists so the protocol layer has honest cryptographic
+behaviour (forgeries fail, tampering is detected) without nondeterministic key
+material.
 
 Byte conventions are big-endian throughout.  `canonical_encode` defines the
 injective byte layout that both digests and signatures commit to.  `prefixed`
@@ -19,8 +20,8 @@ buffer raises ValueError in one place.
 from __future__ import annotations
 
 import hashlib
+import hmac
 import math
-import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -494,7 +495,7 @@ def derive_seed(*parts: int | str) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# authenticated stream cipher (hash-counter keystream, keyed-hash tag)
+# authenticated stream cipher (SHAKE-256 keystream, HMAC-SHA256 tag)
 # --------------------------------------------------------------------------- #
 
 
@@ -511,37 +512,32 @@ class CipherEnvelope:
             raise ValueError("tag must be 32 bytes")
 
 
-def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    blocks = []
-    for i in range((length + DIGEST_LEN - 1) // DIGEST_LEN):
-        blocks.append(sha256(key + nonce + i.to_bytes(8, "big")))
-    return b"".join(blocks)[:length]
+def _keystream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
+    stream = hashlib.shake_256(key + nonce).digest(len(data))
+    return (np.frombuffer(data, dtype=np.uint8) ^ np.frombuffer(stream, dtype=np.uint8)).tobytes()
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+def _tag(key: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
+    return hmac.digest(key, nonce + ciphertext, "sha256")
 
 
-def _check_key_nonce(key: bytes, nonce: bytes) -> None:
+def _check_key(key: bytes) -> None:
+    # the nonce length is checked by CipherEnvelope, which both callers build
     if len(key) != KEY_LEN:
         raise ValueError("key must be 32 bytes")
-    if len(nonce) != NONCE_LEN:
-        raise ValueError("nonce must be 16 bytes")
 
 
 def encrypt(key: bytes, nonce: bytes, plaintext: bytes) -> CipherEnvelope:
-    """Encrypt and authenticate.  Keystream block i is hash(key, nonce, i)."""
-    _check_key_nonce(key, nonce)
-    ciphertext = _xor(plaintext, _keystream(key, nonce, len(plaintext)))
-    tag = sha256(key + nonce + ciphertext)
-    return CipherEnvelope(nonce=nonce, ciphertext=ciphertext, tag=tag)
+    """Encrypt-then-MAC: SHAKE-256 keystream (FIPS 202), HMAC-SHA256 tag (RFC 2104) over nonce and ciphertext."""
+    _check_key(key)
+    ciphertext = _keystream_xor(key, nonce, plaintext)
+    return CipherEnvelope(nonce=nonce, ciphertext=ciphertext, tag=_tag(key, nonce, ciphertext))
 
 
 def decrypt(key: bytes, envelope: CipherEnvelope) -> bytes:
-    """Verify the tag, then decrypt.  Raises IntegrityError before touching
-    the plaintext if the tag does not match."""
-    _check_key_nonce(key, envelope.nonce)
-    expected = sha256(key + envelope.nonce + envelope.ciphertext)
-    if expected != envelope.tag:
+    """Check the HMAC-SHA256 tag in constant time, then decrypt.  Raises
+    IntegrityError before any keystream is made if the tag does not match."""
+    _check_key(key)
+    if not hmac.compare_digest(_tag(key, envelope.nonce, envelope.ciphertext), envelope.tag):
         raise IntegrityError("authentication tag mismatch")
-    return _xor(envelope.ciphertext, _keystream(key, envelope.nonce, len(envelope.ciphertext)))
+    return _keystream_xor(key, envelope.nonce, envelope.ciphertext)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from . import adversary, crypto, datasets, models, protocol, reporting
+from . import adversary, crypto, datasets, models, protocol
 from .adversary import AttackConfig, AttackPlan
 from .datasets import Dataset
 from .models import Model, TrainingConfig
@@ -410,11 +410,11 @@ def build_simulation(config: ExperimentConfig) -> Simulation:
     return Simulation(config=config, server=server, clients=clients, plan=plan, holdout=holdout)
 
 
-def run_experiment(config: ExperimentConfig, out_path: Optional[str] = None) -> MetricsTable:
-    """Build and run the full experiment; optionally write the CSV table.
+def run_experiment(config: ExperimentConfig) -> MetricsTable:
+    """Build and run the full experiment; `reporting.emit_csv` writes its table.
 
     A server-side abort stops the run early; whatever rounds completed are
-    kept and the table (and CSV) carry the abort reason.
+    kept and the table carries the abort reason.
     """
     sim = build_simulation(config)
     table = MetricsTable(client_count=config.clients)
@@ -427,6 +427,4 @@ def run_experiment(config: ExperimentConfig, out_path: Optional[str] = None) -> 
             table.aborted = str(exc)
             break
         table.reports.append(report)
-    if out_path is not None and table.reports:
-        reporting.emit_csv(table, out_path)
     return table

@@ -477,20 +477,33 @@ def test_encrypt_decrypt_identity():
     assert crypto.decrypt(KEY, env) == msg
 
 
-def test_encrypt_matches_manual_keystream():
-    msg = b"x" * 40  # spans two keystream blocks
+@pytest.mark.parametrize("size", [0, 1, 40, 1000])
+def test_encrypt_is_plaintext_xor_shake256(size):
+    msg = (bytes(range(256)) * 4)[:size]
     env = crypto.encrypt(KEY, NONCE, msg)
-    block0 = hashlib.sha256(KEY + NONCE + (0).to_bytes(8, "big")).digest()
-    block1 = hashlib.sha256(KEY + NONCE + (1).to_bytes(8, "big")).digest()
-    stream = (block0 + block1)[:40]
-    expected = bytes(m ^ s for m, s in zip(msg, stream))
-    assert env.ciphertext == expected
-    assert env.tag == hashlib.sha256(KEY + NONCE + expected).digest()
+    stream = hashlib.shake_256(KEY + NONCE).digest(size)
+    assert env.ciphertext == bytes(m ^ s for m, s in zip(msg, stream))
 
 
-def test_decrypt_rejects_tag_mismatch_before_decrypting():
+@pytest.mark.parametrize("size", [0, 40, 1000])
+def test_tag_matches_cryptography_hmac(size):
+    crypto_hmac = pytest.importorskip("cryptography.hazmat.primitives.hmac")
+    from cryptography.hazmat.primitives.hashes import SHA256
+
+    env = crypto.encrypt(KEY, NONCE, b"w" * size)
+    mac = crypto_hmac.HMAC(KEY, SHA256())
+    mac.update(NONCE + env.ciphertext)
+    assert env.tag == mac.finalize()
+
+
+def test_decrypt_rejects_tag_mismatch_before_decrypting(monkeypatch):
     env = crypto.encrypt(KEY, NONCE, b"secret")
     bad = crypto.CipherEnvelope(nonce=env.nonce, ciphertext=env.ciphertext, tag=b"\x00" * 32)
+
+    def no_keystream(*args):
+        raise AssertionError("keystream made before the tag was checked")
+
+    monkeypatch.setattr(crypto, "_keystream_xor", no_keystream)
     with pytest.raises(crypto.IntegrityError):
         crypto.decrypt(KEY, bad)
 
@@ -510,6 +523,24 @@ def test_decrypt_rejects_every_single_bit_corruption():
         bad = crypto.CipherEnvelope(nonce=bytes(mutated), ciphertext=env.ciphertext, tag=env.tag)
         with pytest.raises(crypto.IntegrityError):
             crypto.decrypt(KEY, bad)
+    for bit in range(len(env.tag) * 8):
+        mutated = bytearray(env.tag)
+        mutated[bit // 8] ^= 1 << (bit % 8)
+        bad = crypto.CipherEnvelope(nonce=env.nonce, ciphertext=env.ciphertext, tag=bytes(mutated))
+        with pytest.raises(crypto.IntegrityError):
+            crypto.decrypt(KEY, bad)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda ct: ct + b"\x00", lambda ct: ct + b"more bytes", lambda ct: ct[:-1], lambda ct: ct[1:], lambda ct: b""],
+    ids=["append-zero", "append-block", "drop-last", "drop-first", "empty"],
+)
+def test_decrypt_rejects_resized_ciphertext_under_original_tag(edit):
+    env = crypto.encrypt(KEY, NONCE, b"a short but real payload")
+    bad = crypto.CipherEnvelope(nonce=env.nonce, ciphertext=edit(env.ciphertext), tag=env.tag)
+    with pytest.raises(crypto.IntegrityError):
+        crypto.decrypt(KEY, bad)
 
 
 def test_encrypt_one_mebibyte_round_trip():

@@ -52,21 +52,21 @@ GOLDEN = {
 
 GOLDEN_WIRE = {
     ("none", "off", "on"): "9ed13f33a56f3326d1706a3a9bfe5338dd115ce7a63f1f377b7e6ada4583f7a8",
-    ("none", "on", "on"): "98107665c356bff1f04777f700c4ff7713b1f96733d9bed561c366c545999dc6",
+    ("none", "on", "on"): "e3d5de504e68211f45fe07b39ae5378644d9ea7c177b9389e063b3e9c519d792",
     ("model-poison", "off", "on"): "7f47f6c8cd295cf58477b9c4be296c4e82c03c4500e0c7b5368a74d1ff9c9a4d",
-    ("model-poison", "on", "on"): "bf46c9784292331e5a38edad982137c56c5ba2c7983363867ea49c4844c5ed49",
+    ("model-poison", "on", "on"): "d15fe8063e85156c3df0304527a19390145546171c140009f93f17ec8fd5a140",
     ("data-poison", "off", "on"): "c5f7d8165a42fbee7a120e3bd7f6c46543cc898833641c6b87ab94675121a1a4",
-    ("data-poison", "on", "on"): "b2351b3e9dd3662f7fc94f078a9223af9286cea37fd0744c7c861995176c47a4",
+    ("data-poison", "on", "on"): "6bd6f8711cd72726b7a248e90431af406f93524c138417559c904e2e65887394",
     ("tamper", "off", "on"): "1e19fae4126a961c1c908f17a4dccd5a6fc8dded908e82321181b8859c0daa86",
-    ("tamper", "on", "on"): "5c96660daebcfb139f911d3488c982b3f953835898745f526c3a9a246d69c3d5",
+    ("tamper", "on", "on"): "d0ae69028cb1e407d94c3f71e302163eefa963a5ab900e4243ca2ee8506f89aa",
     ("sybil", "off", "on"): "aa05b563abf5e1796b9697bc319cbb3e6c42088bf664321dd307c3184cf1b126",
-    ("sybil", "on", "on"): "bd64aedc0dbebe0a0732d4fddd8040d0996886b672b8d65d587a6d5ba2ff4804",
+    ("sybil", "on", "on"): "d68a9109cb259418adbe91e5bc8f5e3e3f3529f3802a4cdeb5bb386f03efe512",
     ("replay", "off", "on"): "16dc81878a54308d07d634bac9512cd45463c3ca3970cb5c45811ad1372fa0e6",
-    ("replay", "on", "on"): "4ff2eccf0b09691c4f50f08c4126db97bba0554bb55a8062c757bf6eb1a1b73c",
+    ("replay", "on", "on"): "778ec8e51e3ebc970dfba889a55084996ff7b252152f8db8502a89e95b4c235a",
     ("none", "off", "off"): "9ed13f33a56f3326d1706a3a9bfe5338dd115ce7a63f1f377b7e6ada4583f7a8",
-    ("none", "on", "off"): "98107665c356bff1f04777f700c4ff7713b1f96733d9bed561c366c545999dc6",
+    ("none", "on", "off"): "e3d5de504e68211f45fe07b39ae5378644d9ea7c177b9389e063b3e9c519d792",
     ("tamper", "off", "off"): "c3f66e523c225c63beb8bdb4faa18439033ecda0a95beb98f2226b5ebd2160d9",
-    ("tamper", "on", "off"): "23875d32d38502ee0777ef03a87382120fb43d82de757cb4ce1b7cef7093eec4",
+    ("tamper", "on", "off"): "4f0a51c0e6b6091849d8e9c053f0cc0052cccf34eab121a7e185ca01aa43e4db",
 }
 
 

@@ -352,7 +352,8 @@ def test_run_experiment_security_toggle_matches_in_honest_runs():
 
 def test_run_experiment_writes_csv(tmp_path):
     path = tmp_path / "table.csv"
-    table = run_experiment(parse_config(FAST), out_path=str(path))
+    table = run_experiment(parse_config(FAST))
+    emit_csv(table, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + len(table.reports) + 1
@@ -384,7 +385,19 @@ def test_cli_runs_and_prints_table(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "round" in captured.out and "summary" in captured.out
-    assert out.exists()
+    lines = out.read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == 1 + 2 + 1  # header, one row per round, summary
+
+
+def test_cli_unwritable_out_prints_table_then_exits_one(tmp_path, capsys):
+    conf = tmp_path / "fast.conf"
+    conf.write_text(FAST)
+    code = cli.main(["--config", str(conf), "--out", str(tmp_path / "missing" / "run.csv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "summary" in captured.out
+    assert captured.err.startswith("attestfl: cannot write CSV: ")
 
 
 def test_cli_overflowing_poison_drops_the_client_each_round(tmp_path):
