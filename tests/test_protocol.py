@@ -124,6 +124,19 @@ def test_failed_registration_changes_nothing():
         server.register(broken)
     assert (server.registry, server.session_keys) == before
     assert broken.session_key is None
+    # the server's own value out of range fails the client half, whose base
+    # is a table of it: the table always stands for the current dh_public
+    misconfigured = dc_replace(server, dh_public=1)
+    with pytest.raises(ValueError):
+        misconfigured.register(newcomer)
+    assert (misconfigured.registry, misconfigured.session_keys) == before
+    assert newcomer.session_key is None
+    server.dh_public, kept = 1, server.dh_public
+    with pytest.raises(ValueError):
+        server.register(newcomer)
+    assert (server.registry, server.session_keys) == before
+    assert newcomer.session_key is None
+    server.dh_public = kept
     server.register(newcomer)
     assert server.registry["client-3"] == newcomer.sig_pair.public
     assert newcomer.session_key == server.session_keys["client-3"]

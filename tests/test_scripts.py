@@ -21,6 +21,9 @@ import attestfl
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# a column header each script must print, where one is pinned
+PRINTED = {"run_scaling_sweep.py": "setup ms/client"}
+
 
 @pytest.mark.parametrize(
     "script, args",
@@ -38,6 +41,7 @@ def test_script_exits_zero(script, args):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert PRINTED.get(script, "") in proc.stdout
 
 
 def test_bench_tracer_resolves_every_wrapped_name():
