@@ -4,10 +4,13 @@
 Verification work is linear in the number of messages, so the per-client
 cost should stay flat.  Key generation happens once at setup and is
 reported separately from the steady-state round time, both in total and per
-client, with the largest-vs-smallest ratio of each per-client cost.
+client, with the largest-vs-smallest ratio of each per-client cost.  Peak
+RSS is the process's high-water mark once a size is done, so with sizes in
+ascending order each row reads the peak of the largest cohort so far.
 """
 
 import argparse
+import resource
 import time
 
 from attestfl import harness, protocol
@@ -46,12 +49,13 @@ def main() -> int:
     parser.add_argument("--key-bits", type=int, default=1024, choices=(1024, 2048))
     args = parser.parse_args()
 
-    print(f"{'clients':>8} {'setup s':>8} {'setup ms/client':>16} {'ms/client/round':>16}")
+    print(f"{'clients':>8} {'setup s':>8} {'setup ms/client':>16} {'ms/client/round':>16} {'peak RSS MB':>12}")
     setup_per_client, round_per_client = {}, {}
     for n in args.sizes:
         setup, per = measure(n, args)
         setup_per_client[n], round_per_client[n] = setup / n, per
-        print(f"{n:>8} {setup:>8.2f} {setup / n * 1000:>16.2f} {per * 1000:>16.2f}")
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+        print(f"{n:>8} {setup:>8.2f} {setup / n * 1000:>16.2f} {per * 1000:>16.2f} {peak_mb:>12.1f}")
     smallest, largest = min(args.sizes), max(args.sizes)
     setup_ratio = setup_per_client[largest] / setup_per_client[smallest]
     round_ratio = round_per_client[largest] / round_per_client[smallest]

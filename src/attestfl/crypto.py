@@ -9,9 +9,9 @@ real traffic; it exists so the protocol layer has honest cryptographic
 behaviour (forgeries fail, tampering is detected) without nondeterministic key
 material.
 
-Diffie-Hellman raises the two bases that repeat, the group generator and a
-server's public value, through a fixed-base `PowerTable`, whose results are
-the integers builtin `pow` gives.
+Diffie-Hellman private exponents are 320 bits long (RFC 3526 section 8's
+size for the 2048-bit group), not as long as the modulus, so every
+exponentiation is one builtin `pow` with a short exponent.
 
 Byte conventions are big-endian throughout.  `canonical_encode` defines the
 injective byte layout that both digests and signatures commit to.  `prefixed`
@@ -23,7 +23,6 @@ buffer raises ValueError in one place.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import hmac
 import math
@@ -49,7 +48,6 @@ __all__ = [
     "keygen_signature",
     "sign",
     "verify",
-    "PowerTable",
     "DhParams",
     "TOY_DH_GROUP",
     "MODP_2048",
@@ -397,58 +395,7 @@ def verify(digest: bytes, signature: bytes, public: RsaPublicKey) -> bool:
 # Diffie-Hellman key agreement
 # --------------------------------------------------------------------------- #
 
-_WINDOW = 6  # bits per exponent digit in a PowerTable
-
-
-@dataclass(frozen=True)
-class PowerTable:
-    """base^e mod modulus by fixed-base exponentiation, for a base that repeats.
-
-    Brickell-Gordon-McCurley-Wilson (EUROCRYPT '92): the table holds
-    base^(2^(6k)) for every 6-bit digit position k of a modulus-sized
-    exponent, and `pow` gathers the rows by digit value, about bits/6 + 63
-    modular products where square-and-multiply makes about 1.2 * bits.  The
-    rows are built on the first `pow`, and tables compare by (base, modulus),
-    which fixes every row.
-    """
-
-    base: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError("modulus must be at least 2")
-
-    @functools.cached_property
-    def _rows(self) -> tuple[int, ...]:
-        rows = [self.base % self.modulus]
-        for _ in range(1, -(-self.modulus.bit_length() // _WINDOW)):
-            rows.append(pow(rows[-1], 1 << _WINDOW, self.modulus))
-        return tuple(rows)
-
-    def pow(self, exponent: int) -> int:
-        """Equal to pow(base, exponent, modulus).
-
-        Raises ValueError for a negative exponent or one with more digits
-        than the table has rows.
-        """
-        rows = self._rows
-        if exponent < 0 or exponent.bit_length() > _WINDOW * len(rows):
-            raise ValueError("exponent outside the table's range")
-        mask, p = (1 << _WINDOW) - 1, self.modulus
-        # buckets[d] = product of the rows whose digit is d
-        buckets = [1] * (1 << _WINDOW)
-        for row in rows:
-            digit = exponent & mask
-            if digit:
-                buckets[digit] = buckets[digit] * row % p
-            exponent >>= _WINDOW
-        # prod over d of buckets[d]^d, as a running product of suffix products
-        result = suffix = 1
-        for digit in range(mask, 0, -1):
-            suffix = suffix * buckets[digit] % p
-            result = result * suffix % p
-        return result
+_DH_EXPONENT_BITS = 320  # private exponent size, RFC 3526 section 8
 
 
 @dataclass(frozen=True)
@@ -483,58 +430,45 @@ MODP_2048 = DhParams(
 )
 
 
-@functools.cache
-def _generator_table(params: DhParams) -> PowerTable:
-    return PowerTable(params.g, params.p)
-
-
 def dh_public(params: DhParams, private: int) -> int:
-    """Public value for a private exponent: g to the private, mod p.
-
-    Raised through the group's generator table, built on first use and
-    kept for the process; the value is the one pow(g, private, p) gives.
-    """
+    """Public value for a private exponent: g to the private, mod p."""
     if not 1 <= private <= params.p - 2:
         raise ValueError("private exponent out of range")
-    return _generator_table(params).pow(private)
+    return pow(params.g, private, params.p)
 
 
 def dh_keygen(params: DhParams, seed: int) -> tuple[int, int]:
     """Deterministic (private, public) pair for the given group and seed.
 
-    The private exponent is reduced from 64 bits more than the modulus into
-    [2, p-2].  Redraws until the public value lands in [2, p-2], the range
-    dh_shared accepts; in tiny test groups the generator can hit p-1
-    legitimately.
+    The private exponent is short: 384 drawn bits reduced into
+    [2, 2 + min(p - 3, 2^320)), which is [2, p-2] in a toy group.  RFC 3526
+    section 8 gives 320 bits for the 2048-bit group's higher strength
+    estimate (NIST SP 800-56A Rev. 3 asks for at least 224), and `pow` with
+    it costs about a sixth of a full-length one.  Redraws until the public
+    value lands in [2, p-2], the range dh_shared accepts; in tiny test groups
+    the generator can hit p-1 legitimately.
     """
     rng = _Drbg(b"dh-keygen", seed)
-    span = params.p - 3  # private in [2, p-2]
+    span = min(params.p - 3, 1 << _DH_EXPONENT_BITS)
     while True:
-        private = 2 + rng.take_int(max(256, params.p.bit_length()) + 64) % span
+        private = 2 + rng.take_int(_DH_EXPONENT_BITS + 64) % span
         public = dh_public(params, private)
         if 2 <= public <= params.p - 2:
             return private, public
 
 
-def dh_shared(private: int, peer_public: int | PowerTable, params: DhParams) -> int:
+def dh_shared(private: int, peer_public: int, params: DhParams) -> int:
     """Shared secret from our private exponent and the peer's public value.
 
-    A peer value that is used again and again (a server's, against each
-    client) comes as its PowerTable over p, a single-use one as an int; both
-    give the integer pow(peer, private, p) gives.  The peer value must lie
-    in [2, p-2]; 0, 1, and p-1 are rejected because they force degenerate
-    secrets.  Both ranges are checked before any exponentiation.
+    The peer value must lie in [2, p-2]; 0, 1, and p-1 are rejected because
+    they force degenerate secrets.  Both ranges are checked before any
+    exponentiation.
     """
-    table = peer_public if isinstance(peer_public, PowerTable) else None
-    if table is not None:
-        if table.modulus != params.p:
-            raise ValueError("power table is over another modulus")
-        peer_public = table.base
     if not 2 <= peer_public <= params.p - 2:
         raise ValueError("peer public value out of range")
     if not 1 <= private <= params.p - 2:
         raise ValueError("private exponent out of range")
-    return pow(peer_public, private, params.p) if table is None else table.pow(private)
+    return pow(peer_public, private, params.p)
 
 
 def kdf(secret: int) -> bytes:

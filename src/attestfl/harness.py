@@ -359,6 +359,8 @@ def build_simulation(config: ExperimentConfig) -> Simulation:
         adversary.ATTACK_TAMPER,
     ):
         compromised = adversary.choose_compromised(client_ids, attack.fraction, attack.seed)
+    if attack.kind == adversary.ATTACK_DATA_POISON and compromised and num_classes < 2:
+        raise ConfigError(f"attack.kind = data-poison flips labels, so it needs two classes, got {num_classes}")
 
     server = Server.create(
         architecture,

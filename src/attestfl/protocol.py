@@ -500,9 +500,7 @@ def aggregate(updates: Sequence[tuple[str, int, ParameterVector]]) -> Optional[P
 @dataclass
 class Server:
     """Holds the registry (client id -> RSA public key), session keys, global
-    model state and the audit log.  Freshness state lives for one round only.
-    `_dh_table` is the fixed-base table of `dh_public` that every client's
-    half of `register` raises; it is made on first use."""
+    model state and the audit log.  Freshness state lives for one round only."""
 
     architecture: Model
     state: GlobalModelState
@@ -514,7 +512,6 @@ class Server:
     registry: dict[str, crypto.RsaPublicKey] = field(default_factory=dict)
     session_keys: dict[str, bytes] = field(default_factory=dict)
     audit_log: list[AuditRecord] = field(default_factory=list)
-    _dh_table: Optional[crypto.PowerTable] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def create(
@@ -551,18 +548,10 @@ class Server:
         if cid in self.registry:
             raise DuplicateClientError(f"client {cid!r} already registered")
         shared_at_server = crypto.dh_shared(self.dh_private, client.dh_public, self.dh_params)
-        shared_at_client = crypto.dh_shared(client.dh_private, self._dh_public_table(), self.dh_params)
+        shared_at_client = crypto.dh_shared(client.dh_private, self.dh_public, self.dh_params)
         self.registry[cid] = client.sig_pair.public
         self.session_keys[cid] = crypto.kdf(shared_at_server)
         client.session_key = crypto.kdf(shared_at_client)
-
-    def _dh_public_table(self) -> crypto.PowerTable:
-        # tables compare by (base, modulus), so this one always stands for
-        # the current dh_public; its rows are built on its first pow
-        table = crypto.PowerTable(self.dh_public, self.dh_params.p)
-        if table != self._dh_table:
-            self._dh_table = table
-        return self._dh_table
 
 
 def _ingest(

@@ -111,11 +111,6 @@ class RoundReport:
     def accepted_count(self) -> int:
         return sum(1 for o in self.outcomes if o.accepted)
 
-    @property
-    def model_updated(self) -> bool:
-        """Every accepted update is aggregated into the global model."""
-        return self.accepted_count > 0
-
 
 def compute_metrics(
     outcomes: Sequence[MessageOutcome],

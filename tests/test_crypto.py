@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from attestfl import attestation, crypto, protocol
@@ -457,54 +457,20 @@ def test_dh_commutes_on_toy_group(a, b):
     assert crypto.dh_shared(a, pub_b, group) == crypto.dh_shared(b, pub_a, group)
 
 
-# fixed-base tables, with builtin pow as the oracle
-_P = crypto.MODP_2048.p
-_MODP_TABLES = [
-    crypto.PowerTable(crypto.MODP_2048.g, _P),
-    crypto.PowerTable(crypto.dh_keygen(crypto.MODP_2048, seed=3)[1], _P),
-]
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 17, 2**40])
+def test_dh_keygen_draws_a_short_exponent_on_modp_2048(seed):
+    group = crypto.MODP_2048
+    private, public = crypto.dh_keygen(group, seed=seed)
+    assert 2 <= private < 2 + 2**320
+    assert public == pow(group.g, private, group.p)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(_MODP_TABLES), st.integers(min_value=0, max_value=_P - 2))
-@example(_MODP_TABLES[0], 0)
-@example(_MODP_TABLES[1], 0)
-@example(_MODP_TABLES[1], 1)
-@example(_MODP_TABLES[1], 63)
-@example(_MODP_TABLES[1], 64)
-@example(_MODP_TABLES[1], 2**2046 - 1)
-@example(_MODP_TABLES[0], _P - 2)
-@example(_MODP_TABLES[1], _P - 2)
-def test_power_table_matches_pow_modp_2048(table, exponent):
-    assert table.pow(exponent) == pow(table.base, exponent, _P)
-
-
-def test_power_table_matches_pow_on_every_toy_base_and_exponent():
-    p = crypto.TOY_DH_GROUP.p
-    for base in range(2, p - 1):
-        table = crypto.PowerTable(base, p)
-        assert [table.pow(e) for e in range(p - 1)] == [pow(base, e, p) for e in range(p - 1)]
-
-
-def test_power_table_rejects_exponents_outside_its_rows():
-    toy = crypto.PowerTable(5, crypto.TOY_DH_GROUP.p)  # one 6-bit row
-    assert toy.pow(63) == pow(5, 63, 23)
-    for table, too_long in ((toy, 64), (_MODP_TABLES[0], 1 << 2052)):
-        for bad in (-1, too_long):
-            with pytest.raises(ValueError):
-                table.pow(bad)
-
-
-def test_dh_shared_takes_a_table_of_the_peer_value():
+def test_dh_keygen_toy_group_still_spans_the_whole_range():
     group = crypto.TOY_DH_GROUP
-    for peer in range(2, group.p - 1):
-        table = crypto.PowerTable(peer, group.p)
-        assert crypto.dh_shared(6, table, group) == crypto.dh_shared(6, peer, group)
-    for bad in (0, 1, group.p - 1):
-        with pytest.raises(ValueError):
-            crypto.dh_shared(6, crypto.PowerTable(bad, group.p), group)
-    with pytest.raises(ValueError):
-        crypto.dh_shared(6, crypto.PowerTable(8, 29), group)
+    privates = {crypto.dh_keygen(group, seed=seed)[0] for seed in range(200)}
+    assert min(privates) >= 2 and max(privates) <= group.p - 2
+    # every exponent whose public value dh_shared accepts is reachable
+    assert privates == {x for x in range(2, group.p - 1) if 2 <= pow(group.g, x, group.p) <= group.p - 2}
 
 
 def test_kdf_matches_direct_hash():

@@ -52,21 +52,21 @@ GOLDEN = {
 
 GOLDEN_WIRE = {
     ("none", "off", "on"): "9ed13f33a56f3326d1706a3a9bfe5338dd115ce7a63f1f377b7e6ada4583f7a8",
-    ("none", "on", "on"): "e3d5de504e68211f45fe07b39ae5378644d9ea7c177b9389e063b3e9c519d792",
+    ("none", "on", "on"): "da4a05961cf28ec56b0b4292d034413675b905fb472e87d8b195a320a8bd3cd6",
     ("model-poison", "off", "on"): "7f47f6c8cd295cf58477b9c4be296c4e82c03c4500e0c7b5368a74d1ff9c9a4d",
-    ("model-poison", "on", "on"): "d15fe8063e85156c3df0304527a19390145546171c140009f93f17ec8fd5a140",
+    ("model-poison", "on", "on"): "e85ef8add9cda0100bb203eb64b24a3c2a396e099aa48a0ea7111aae4d992d44",
     ("data-poison", "off", "on"): "c5f7d8165a42fbee7a120e3bd7f6c46543cc898833641c6b87ab94675121a1a4",
-    ("data-poison", "on", "on"): "6bd6f8711cd72726b7a248e90431af406f93524c138417559c904e2e65887394",
+    ("data-poison", "on", "on"): "67a558c84aba205fe457963c2587e5683faa34c320d6fc7fe820a1cd20a15123",
     ("tamper", "off", "on"): "1e19fae4126a961c1c908f17a4dccd5a6fc8dded908e82321181b8859c0daa86",
-    ("tamper", "on", "on"): "d0ae69028cb1e407d94c3f71e302163eefa963a5ab900e4243ca2ee8506f89aa",
+    ("tamper", "on", "on"): "073e884d7f02e76d2b2d7bb2cecbc79563a3b1ff42689ccce9d1d7f9adcc7671",
     ("sybil", "off", "on"): "aa05b563abf5e1796b9697bc319cbb3e6c42088bf664321dd307c3184cf1b126",
-    ("sybil", "on", "on"): "d68a9109cb259418adbe91e5bc8f5e3e3f3529f3802a4cdeb5bb386f03efe512",
+    ("sybil", "on", "on"): "56b31a851ecbe5bca63b68b1015315385e6543c17392493b1a9a3b022e9b9f63",
     ("replay", "off", "on"): "16dc81878a54308d07d634bac9512cd45463c3ca3970cb5c45811ad1372fa0e6",
-    ("replay", "on", "on"): "778ec8e51e3ebc970dfba889a55084996ff7b252152f8db8502a89e95b4c235a",
+    ("replay", "on", "on"): "7d6a572809fbf9584f6adf71337772be7d4ad77b16046d157536499c5b889703",
     ("none", "off", "off"): "9ed13f33a56f3326d1706a3a9bfe5338dd115ce7a63f1f377b7e6ada4583f7a8",
-    ("none", "on", "off"): "e3d5de504e68211f45fe07b39ae5378644d9ea7c177b9389e063b3e9c519d792",
+    ("none", "on", "off"): "da4a05961cf28ec56b0b4292d034413675b905fb472e87d8b195a320a8bd3cd6",
     ("tamper", "off", "off"): "c3f66e523c225c63beb8bdb4faa18439033ecda0a95beb98f2226b5ebd2160d9",
-    ("tamper", "on", "off"): "4f0a51c0e6b6091849d8e9c053f0cc0052cccf34eab121a7e185ca01aa43e4db",
+    ("tamper", "on", "off"): "4bc4c91b0aed8e8d7a9b3b32d02cdf9dc1f97e9d1e969f4ce5fc113b31a6922c",
 }
 
 

@@ -451,6 +451,15 @@ def test_cli_bad_data_files_are_config_errors(tmp_path, capsys, case, fragment):
     assert captured.err.startswith("attestfl: config error: ") and fragment in captured.err
 
 
+def test_cli_data_poison_with_one_class_is_a_config_error(tmp_path, capsys):
+    conf = tmp_path / "one-class.conf"
+    conf.write_text("data.classes = 1\ncrypto.key_bits = 1024\nrounds = 1\nclients = 2\n")
+    code = cli.main(["--config", str(conf), "--attack", "data-poison", "--attack-fraction", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("attestfl: config error: ") and "two classes" in captured.err
+
+
 def test_cli_usage_error_exits_one():
     with pytest.raises(SystemExit) as err:
         cli.build_parser().parse_args(["--security", "sideways"])

@@ -124,8 +124,8 @@ def test_failed_registration_changes_nothing():
         server.register(broken)
     assert (server.registry, server.session_keys) == before
     assert broken.session_key is None
-    # the server's own value out of range fails the client half, whose base
-    # is a table of it: the table always stands for the current dh_public
+    # the server's own value out of range fails the client half, on a copy
+    # and on the server itself; the range check reads the current dh_public
     misconfigured = dc_replace(server, dh_public=1)
     with pytest.raises(ValueError):
         misconfigured.register(newcomer)
@@ -539,7 +539,6 @@ def test_honest_round_metrics_and_conservation():
     assert report.authentication_rate == 100.0
     assert report.non_repudiation_incidents == 0
     assert report.accepted_count == len(clients)
-    assert report.model_updated
     # the applied delta is exactly the weighted mean of what clients sent
     expected = aggregate([(cid, size, upd) for cid, (size, upd) in sorted(individual.items())])
     assert np.array_equal(server.state.params.values, expected.values)
@@ -577,7 +576,7 @@ def test_round_with_no_deliveries_is_flagged_degenerate():
     before = server.state.params
     report = run_round(server, [], eval_data=HOLDOUT)
     assert report.round == 1
-    assert not report.model_updated
+    assert report.accepted_count == 0
     assert report.verification_rate is None
     assert report.authentication_rate is None
     assert server.state.params is before

@@ -21,8 +21,8 @@ import attestfl
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# a column header each script must print, where one is pinned
-PRINTED = {"run_scaling_sweep.py": "setup ms/client"}
+# column headers each script must print, where any are pinned
+PRINTED = {"run_scaling_sweep.py": ("setup ms/client", "peak RSS MB")}
 
 
 @pytest.mark.parametrize(
@@ -41,13 +41,26 @@ def test_script_exits_zero(script, args):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert PRINTED.get(script, "") in proc.stdout
+    assert all(header in proc.stdout for header in PRINTED.get(script, ()))
 
 
 def test_bench_tracer_resolves_every_wrapped_name():
     spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    bench_tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_tracer)
+    originals = {(owner, attr): owner.__dict__[attr] for owner, attr, _, _ in bench_tracer._targets(attestfl)}
     # construction looks up every wrapped attribute (KeyError if one is
-    # gone) and installs nothing
-    tracer.Tracer(attestfl)
+    # gone) and installs nothing; uninstall puts every original back
+    tracer = bench_tracer.Tracer(attestfl)
+    config = attestfl.harness.parse_config("crypto.key_bits = 1024\nclients = 2\n")
+    tracer.install()
+    try:
+        assert all(owner.__dict__[attr] is not raw for (owner, attr), raw in originals.items())
+        attestfl.harness.build_simulation(config)
+    finally:
+        tracer.uninstall()
+    assert all(owner.__dict__[attr] is raw for (owner, attr), raw in originals.items())
+    names = [span[0] for span in tracer.spans]
+    # one key agreement per client, each computing both halves
+    assert names.count("crypto.dh_shared") == 2 * config.clients
+    assert names.count("crypto.dh_keygen") == 1 + config.clients
