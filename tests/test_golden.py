@@ -8,12 +8,17 @@ the way `harness.run_experiment` runs it.  One SHA-256 per config covers:
   - every round's per-message outcomes, in delivery order
   - every record in the server's audit log
 
-A second SHA-256 per config (`GOLDEN_WIRE`) covers the wire: every delivery
+`GOLDEN_VERDICTS` pins the first three items alone, without the audit
+records: it holds what the run decided and computed, with no signature or key
+bytes in it.  A change that moves key material moves `GOLDEN` and keeps
+`GOLDEN_VERDICTS`; one that moves a verdict, a rate or a model moves both.
+
+A further SHA-256 per config (`GOLDEN_WIRE`) covers the wire: every delivery
 the server receives, after the attack plan has rewritten the batch, in
 delivery order over all rounds.  Raw byte payloads are hashed as they are,
 parsed messages as their `to_wire_bytes()`, with no separators.  Sealed and
 plaintext configs differ here, so envelope and attestation-report bytes are
-pinned too.  Both digests come from the same run.
+pinned too.  All three digests come from the same run.
 
 The matrix runs each attack kind sealed and unsealed with security on, and
 the honest and tamper runs with security off, at 1024-bit keys, 3 clients
@@ -48,6 +53,25 @@ GOLDEN = {
     ("none", "on", "off"): "e2c14c8865523aef93654edf2b4e7d3e64ecbe92ad7023854ed98b6427971c4b",
     ("tamper", "off", "off"): "45cb03550f1e3713fe11f41a154a116d79420c72e253568ca0b4e42e2c3bb111",
     ("tamper", "on", "off"): "f7966be07a6e315cc7e84994c06174fed0264d9114c45617bfe6f675601e7412",
+}
+
+GOLDEN_VERDICTS = {
+    ("none", "off", "on"): "a7ff61d61de248614cdf8c64a3d5116c28dae1fc13e1e0b098665c932677ee30",
+    ("none", "on", "on"): "a7ff61d61de248614cdf8c64a3d5116c28dae1fc13e1e0b098665c932677ee30",
+    ("model-poison", "off", "on"): "9f0bba06c13229e6294656462aa9490cf396e4e3a9b6f48a13dc452f18a2208a",
+    ("model-poison", "on", "on"): "9f0bba06c13229e6294656462aa9490cf396e4e3a9b6f48a13dc452f18a2208a",
+    ("data-poison", "off", "on"): "27d874e7df5fdd088da25d0ad1b33fba2e088161064281ff9ad8a123cc451c88",
+    ("data-poison", "on", "on"): "27d874e7df5fdd088da25d0ad1b33fba2e088161064281ff9ad8a123cc451c88",
+    ("tamper", "off", "on"): "b8302ce42c1537aff3052e3c1edd3f3de773bd8c959aaac8f03b0fb184884bc7",
+    ("tamper", "on", "on"): "74017e12e65b651771375582c04b3172c6fb63c397fb10588fa42e57f5364b41",
+    ("sybil", "off", "on"): "66bcc50c47d8930b3793c5ff68b30a08b86a2644a7457b6453aea80af0c778a6",
+    ("sybil", "on", "on"): "66bcc50c47d8930b3793c5ff68b30a08b86a2644a7457b6453aea80af0c778a6",
+    ("replay", "off", "on"): "b3568326a0c370549ac64c6ff75e7e31bf0439f4134ff0e351ed8791988f7c7e",
+    ("replay", "on", "on"): "b3568326a0c370549ac64c6ff75e7e31bf0439f4134ff0e351ed8791988f7c7e",
+    ("none", "off", "off"): "a7ff61d61de248614cdf8c64a3d5116c28dae1fc13e1e0b098665c932677ee30",
+    ("none", "on", "off"): "a7ff61d61de248614cdf8c64a3d5116c28dae1fc13e1e0b098665c932677ee30",
+    ("tamper", "off", "off"): "d6a2cbe912deb44b6a8e61a1bbfdd6d4b2a87c8c0e5913da2e4173176452b5fd",
+    ("tamper", "on", "off"): "ba2452fec19fcf8bb5d93546714ee25912fce91e1c25708b0150a3763d569f16",
 }
 
 GOLDEN_WIRE = {
@@ -86,7 +110,7 @@ class WireRecorder:
         return deliveries
 
 
-def golden_digests(kind: str, encrypt: str, security: str, tmp_path) -> str:
+def golden_digests(kind: str, encrypt: str, security: str, tmp_path) -> tuple[str, str, str]:
     config = harness.parse_config(
         "",
         {
@@ -122,21 +146,23 @@ def golden_digests(kind: str, encrypt: str, security: str, tmp_path) -> str:
         for o in report.outcomes:
             hasher.update(repr((o.client_id, o.reason, o.accepted, o.honest, o.attributable)).encode())
         hasher.update(b"\n")
+    verdicts = hasher.hexdigest()
     for record in sim.server.audit_log:
         key = None if record.public_key is None else record.public_key.hex()
         fields = (record.round, record.client_id, record.digest.hex(), record.signature.hex(), key)
         hasher.update(repr(fields).encode() + b"\n")
-    return hasher.hexdigest(), wire.hasher.hexdigest()
+    return hasher.hexdigest(), verdicts, wire.hasher.hexdigest()
 
 
 def test_matrix_covers_every_attack_kind():
     secured = {kind for kind, _, security in GOLDEN if security == "on"}
     assert secured == adversary.ATTACK_KINDS
-    assert set(GOLDEN_WIRE) == set(GOLDEN)
+    assert set(GOLDEN_WIRE) == set(GOLDEN_VERDICTS) == set(GOLDEN)
 
 
 @pytest.mark.parametrize("kind,encrypt,security", sorted(GOLDEN))
 def test_golden_digest(kind, encrypt, security, tmp_path):
-    digest, wire = golden_digests(kind, encrypt, security, tmp_path)
+    digest, verdicts, wire = golden_digests(kind, encrypt, security, tmp_path)
+    assert verdicts == GOLDEN_VERDICTS[(kind, encrypt, security)]
     assert digest == GOLDEN[(kind, encrypt, security)]
     assert wire == GOLDEN_WIRE[(kind, encrypt, security)]
