@@ -2,12 +2,17 @@
 
 Everything here is deterministic given its seed arguments, which keeps whole
 simulation runs reproducible down to the byte.  The constructions are
-simulation-grade: textbook RSA with fixed padding (signing uses the CRT form
-of the private key), classic finite-field Diffie-Hellman, and encrypt-then-MAC
-with a SHAKE-256 keystream and an HMAC-SHA256 tag.  None of this should guard
-real traffic; it exists so the protocol layer has honest cryptographic
-behaviour (forgeries fail, tampering is detected) without nondeterministic key
-material.
+simulation-grade: textbook RSA with fixed padding, classic finite-field
+Diffie-Hellman, and encrypt-then-MAC with a SHAKE-256 keystream and an
+HMAC-SHA256 tag.  None of this should guard real traffic; it exists so the
+protocol layer has honest cryptographic behaviour (forgeries fail, tampering
+is detected) without nondeterministic key material.
+
+RSA keys have three primes, as RFC 8017 §3.2 allows for multi-prime keys;
+three is within the usual limit for 1024- and 2048-bit moduli, though
+FIPS 186-5 approves only two-prime keys.  Signing uses the CRT form over the
+three primes and checks every signature against the public key before
+releasing it.
 
 Diffie-Hellman private exponents are 320 bits long (RFC 3526 section 8's
 size for the 2048-bit group), not as long as the modulus, so every
@@ -307,15 +312,18 @@ class RsaPublicKey:
 
 @dataclass(frozen=True)
 class RsaPrivateKey:
-    """CRT form of the private key (RFC 8017 §3.2): dp = d mod (p-1),
-    dq = d mod (q-1), qinv = q^-1 mod p."""
+    """Multi-prime CRT form of the private key (RFC 8017 §3.2), three primes.
+
+    n = r1 * r2 * r3 and e is the public exponent, kept so `sign` can check
+    its result.  `exponents` holds di = e^-1 mod (ri - 1).  `coefficients`
+    holds RFC 8017's qInv = r2^-1 mod r1 and t3 = (r1 * r2)^-1 mod r3.
+    """
 
     n: int
-    p: int
-    q: int
-    dp: int
-    dq: int
-    qinv: int
+    e: int
+    primes: tuple[int, int, int]
+    exponents: tuple[int, int, int]
+    coefficients: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -328,20 +336,28 @@ def keygen_signature(key_bits: int = 2048, seed: int = 0) -> SignatureKeyPair:
     """Generate a deterministic RSA_SCHEME keypair from `seed`.
 
     key_bits must be 1024 (test-sized) or 2048 (default).  The same size
-    and seed always produce the same keypair.
+    and seed always produce the same keypair.  The modulus is the product of
+    three distinct primes of ceil(k/3) or floor(k/3) bits, each with its top
+    two bits set; all three are drawn again until the product has exactly
+    `key_bits` bits.
     """
     if key_bits not in (1024, 2048):
         raise ValueError("key_bits must be 1024 or 2048")
     rng = _Drbg(b"rsa-keygen:" + key_bits.to_bytes(4, "big"), seed)
-    half = key_bits // 2
-    p = _gen_prime(half, rng)
-    q = _gen_prime(half, rng)
-    while q == p:
-        q = _gen_prime(half, rng)
-    n = p * q
-    # e^-1 mod (p-1) equals d mod (p-1) for d = e^-1 mod lcm(p-1, q-1)
+    sizes = [key_bits // 3 + (i < key_bits % 3) for i in range(3)]
+    while True:
+        primes = tuple(_gen_prime(bits, rng) for bits in sizes)
+        n = math.prod(primes)
+        if len(set(primes)) == 3 and n.bit_length() == key_bits:
+            break
+    # e^-1 mod (r-1) equals d mod (r-1) for d = e^-1 mod lcm(r1-1, r2-1, r3-1)
+    r1, r2, r3 = primes
     private = RsaPrivateKey(
-        n=n, p=p, q=q, dp=pow(_E, -1, p - 1), dq=pow(_E, -1, q - 1), qinv=pow(q, -1, p)
+        n=n,
+        e=_E,
+        primes=primes,
+        exponents=tuple(pow(_E, -1, r - 1) for r in primes),
+        coefficients=(pow(r2, -1, r1), pow(r1 * r2, -1, r3)),
     )
     return SignatureKeyPair(private=private, public=RsaPublicKey(n=n, e=_E))
 
@@ -358,17 +374,25 @@ def _emsa_encode(digest: bytes, length: int) -> bytes:
 def sign(digest: bytes, private: RsaPrivateKey) -> bytes:
     """Deterministic signature over a 32-byte digest.
 
-    RSASP1 in CRT form (RFC 8017 §5.1.2): two half-size exponentiations
-    joined by Garner recombination, equal to em^d mod n.
+    RSASP1 in multi-prime CRT form (RFC 8017 §5.1.2 step 2.b): three
+    exponentiations modulo the primes, joined by Garner recombination, equal
+    to em^d mod n.  The result is verified against (n, e) before it is
+    returned, so a fault in one exponentiation raises CryptoError instead of
+    releasing a signature that would expose a prime factor of n.
     """
     if len(digest) != DIGEST_LEN:
         raise ValueError("digest must be 32 bytes")
     k = (private.n.bit_length() + 7) // 8
     em = int.from_bytes(_emsa_encode(digest, k), "big")
-    s1 = pow(em, private.dp, private.p)
-    s2 = pow(em, private.dq, private.q)
-    s = s2 + private.q * (private.qinv * (s1 - s2) % private.p)
-    return s.to_bytes(k, "big")
+    r1, r2, r3 = private.primes
+    s1, s2, s3 = (pow(em, d, r) for d, r in zip(private.exponents, private.primes))
+    q_inv, t3 = private.coefficients
+    s = s2 + r2 * ((s1 - s2) * q_inv % r1)
+    s += r1 * r2 * ((s3 - s) * t3 % r3)
+    signature = s.to_bytes(k, "big")
+    if not verify(digest, signature, RsaPublicKey(n=private.n, e=private.e)):
+        raise CryptoError("signature failed its check against the public key")
+    return signature
 
 
 def verify(digest: bytes, signature: bytes, public: RsaPublicKey) -> bool:

@@ -8,6 +8,7 @@ arithmetic.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import struct
@@ -209,23 +210,33 @@ _CACHED_PAIR = crypto.keygen_signature(key_bits=1024, seed=99)
 
 
 # SHA-256 of sign(sha256(bytes([i])), keygen_signature(key_bits=bits, seed=5))
-# for i in 0..3, computed with the plain pow(em, d, n) signer that preceded
-# RSA-CRT signing. PKCS#1 v1.5 signatures are unique per key and digest, so
-# any correct signer must reproduce these bytes.
+# for i in 0..3, taken from the three-prime signer's own output.  PKCS#1 v1.5
+# signatures are unique per key and digest, so any correct signer must
+# reproduce these bytes; test_signatures_match_cryptography_package checks
+# the same signatures against a plain em^d mod n computed without CRT.
 SIGNATURE_PINS = {
     1024: (
-        "d773d25fdc678c68d787e69d149df7725d6bebbb674ee58fbf012aaf926ac4d4",
-        "5923bb1115916ad0d4dc2d3c9946a739fe1e1872dabdd71a7e85773cfb1e812f",
-        "c23b66b299f274cb2b1d9d56663f84ab62d2c22c3cfe18aca4fd35ef3a2f2191",
-        "9566ad598e55db56af2383cdfa4f2a30d966b435a21b3e1e1f2af6080f383b18",
+        "7fca88b2472b1e679bd83beeb334778008c08f3f8b96fc4bdbcb9b25d57b4744",
+        "c21895979613b355f5005a7adb9ed2c24b14bc9a04c0d4a25558dc268f5f940c",
+        "770ba44c5ddc37f1e9522f0a00917f8863ed45195d6e62f2de26f88d9b6a52ba",
+        "9d2c7f00c0ad8304f369440b86767740f09e58c155d971999e4a958b4b128f99",
     ),
     2048: (
-        "789f66f76be9c9b2f56b3bffb967374c4898af2762ca5f766577d31ab9099ea4",
-        "bcbd379151059ae3050dde4d03b3aedf8547e2f7b4984b3f22148138bd30ef78",
-        "3af38cde15db319ff047e1490a9130dfbf2fad64c12f46ec5a1af7535e8348de",
-        "f9cc16d8356b98405af5264eced013b822814a7adc00f80b87c2b04fcd8ffdbe",
+        "8535647ec8e6ae401b7e960cbc4a12492fc04ba1a5f3faa9157eabbc3f616703",
+        "44e7bb267069e65cb99d0ceea9c8e81a79aff2dd3411ca8a2fe67299d5eb3d82",
+        "21dee64cab402395d22bdfc3abb20464ce67648cbe57c1dd53478fa55d128029",
+        "40a19839dd1570c18806c86821c58f50d1d1ce9a20a7fc6e24bb31b6d1e9d78d",
     ),
 }
+
+# DER DigestInfo prefix for SHA-256, as RFC 8017 section 9.2 note 1 lists it.
+SHA256_DIGEST_INFO = bytes.fromhex("3031300d060960864801650304020105000420")
+
+
+def _emsa_pkcs1_v15(digest: bytes, k: int) -> int:
+    """EMSA-PKCS1-v1_5 (RFC 8017 section 9.2) of a SHA-256 digest, as an integer."""
+    t = SHA256_DIGEST_INFO + digest
+    return int.from_bytes(b"\x00\x01" + b"\xff" * (k - len(t) - 3) + b"\x00" + t, "big")
 
 
 @pytest.mark.parametrize("bits", sorted(SIGNATURE_PINS))
@@ -247,18 +258,73 @@ def test_signatures_match_cryptography_package(bits):
 
     pair = crypto.keygen_signature(key_bits=bits, seed=5)
     priv, pub = pair.private, pair.public
-    lam = (priv.p - 1) * (priv.q - 1) // math.gcd(priv.p - 1, priv.q - 1)
-    d = pow(pub.e, -1, lam)
-    crt = (rsa.rsa_crt_dmp1(d, priv.p), rsa.rsa_crt_dmq1(d, priv.q), rsa.rsa_crt_iqmp(priv.p, priv.q))
-    assert (priv.dp, priv.dq, priv.qinv) == crt
-
-    public_numbers = rsa.RSAPublicNumbers(pub.e, pub.n)
-    oracle = rsa.RSAPrivateNumbers(priv.p, priv.q, d, *crt, public_numbers).private_key()
+    public_key = rsa.RSAPublicNumbers(pub.e, pub.n).public_key()
+    # cryptography's RSAPrivateNumbers takes two primes only, so the sign-side
+    # oracle is em^d mod n without CRT, for d = e^-1 mod lcm(r1-1, r2-1, r3-1)
+    d = pow(pub.e, -1, math.lcm(*(r - 1 for r in priv.primes)))
+    k = bits // 8
     for i in range(4):
         digest = crypto.sha256(bytes([i]))
         ours = crypto.sign(digest, priv)
-        public_numbers.public_key().verify(ours, digest, PKCS1v15(), Prehashed(SHA256()))
-        assert oracle.sign(digest, PKCS1v15(), Prehashed(SHA256())) == ours
+        public_key.verify(ours, digest, PKCS1v15(), Prehashed(SHA256()))
+        assert pow(_emsa_pkcs1_v15(digest, k), d, pub.n).to_bytes(k, "big") == ours
+
+
+PRIME_BITS = {1024: [341, 341, 342], 2048: [682, 683, 683]}
+
+# At these seeds the first three primes drawn have a product one bit short of
+# the key size, so keygen draws all three again.
+SHORT_FIRST_DRAW = {(1024, 11), (2048, 9)}
+
+
+@pytest.mark.parametrize("bits,seed", [(1024, 0), (1024, 5), (1024, 11), (1024, 42), (2048, 5), (2048, 9)])
+def test_keygen_three_prime_key_matches_rfc8017(bits, seed, monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    drawn = []
+    real_gen_prime = crypto._gen_prime
+
+    def recording(prime_bits, rng):
+        drawn.append(real_gen_prime(prime_bits, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(crypto, "_gen_prime", recording)
+    pair = crypto.keygen_signature(key_bits=bits, seed=seed)
+    priv, pub = pair.private, pair.public
+    assert (math.prod(drawn[:3]).bit_length() < bits) == ((bits, seed) in SHORT_FIRST_DRAW)
+
+    r1, r2, r3 = priv.primes
+    assert len(set(priv.primes)) == 3
+    assert all(sympy.isprime(r) for r in priv.primes)
+    assert sorted(r.bit_length() for r in priv.primes) == PRIME_BITS[bits]
+    assert r1 * r2 * r3 == priv.n == pub.n
+    assert pub.n.bit_length() == bits
+    assert priv.e == pub.e == 65537
+    assert all(math.gcd(pub.e, r - 1) == 1 for r in priv.primes)
+    # RFC 8017 section 3.2: d_i = d mod (r_i - 1), r2 * qInv = 1 mod r1, r1 * r2 * t3 = 1 mod r3
+    d = pow(pub.e, -1, math.lcm(r1 - 1, r2 - 1, r3 - 1))
+    assert priv.exponents == tuple(d % (r - 1) for r in priv.primes)
+    q_inv, t3 = priv.coefficients
+    assert 0 < q_inv < r1 and r2 * q_inv % r1 == 1
+    assert 0 < t3 < r3 and r1 * r2 * t3 % r3 == 1
+
+
+def test_sign_refuses_a_faulty_crt_signature(keypair, monkeypatch):
+    priv, pub = keypair.private, keypair.public
+    d1, d2, d3 = priv.exponents
+    faulty = dataclasses.replace(priv, exponents=(d1, d2 ^ 1, d3))
+    digest = crypto.sha256(b"payload")
+    with pytest.raises(crypto.CryptoError):
+        crypto.sign(digest, faulty)
+
+    # Without the check, the faulty value is right modulo r1 and r3 and wrong
+    # modulo r2, so s^e - em shares r1 * r3 with n and gives away r2
+    # (Boneh, DeMillo and Lipton, 1997).
+    monkeypatch.setattr(crypto, "verify", lambda *args: True)
+    s = int.from_bytes(crypto.sign(digest, faulty), "big")
+    leaked = math.gcd(pow(s, pub.e, pub.n) - _emsa_pkcs1_v15(digest, 128), pub.n)
+    r1, r2, r3 = priv.primes
+    assert leaked == r1 * r3
+    assert pub.n // leaked == r2
 
 
 def test_public_key_serialization_round_trip(keypair):

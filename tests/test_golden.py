@@ -24,6 +24,11 @@ The matrix runs each attack kind sealed and unsealed with security on, and
 the honest and tamper runs with security off, at 1024-bit keys, 3 clients
 and 3 rounds.  A refactor keeps every digest; a change that alters output
 on purpose re-pins them and gives the reason in CHANGES.md.
+
+The same configs run once more with `crypto.sign` wrapped: every client
+update, client report and server report signature made in the run must
+verify under the `cryptography` package, apart from this package's own
+verifier.
 """
 
 from __future__ import annotations
@@ -32,27 +37,27 @@ import hashlib
 
 import pytest
 
-from attestfl import adversary, harness, protocol, reporting
+from attestfl import adversary, crypto, harness, protocol, reporting
 
 ROUNDS = 3
 
 GOLDEN = {
-    ("none", "off", "on"): "e2c14c8865523aef93654edf2b4e7d3e64ecbe92ad7023854ed98b6427971c4b",
-    ("none", "on", "on"): "e2c14c8865523aef93654edf2b4e7d3e64ecbe92ad7023854ed98b6427971c4b",
-    ("model-poison", "off", "on"): "cc0a65cb63424e756b0db314b337316dcfe8b676f364f2d97724f21050a4ebea",
-    ("model-poison", "on", "on"): "cc0a65cb63424e756b0db314b337316dcfe8b676f364f2d97724f21050a4ebea",
-    ("data-poison", "off", "on"): "277f3b4e1b7d0ed86cd98ace02a9333992902b27dfd01bf26e88c6b08d6584f7",
-    ("data-poison", "on", "on"): "277f3b4e1b7d0ed86cd98ace02a9333992902b27dfd01bf26e88c6b08d6584f7",
-    ("tamper", "off", "on"): "0cea51d5ee7ce5aa9a11a044065e03362166b949f035905e4ce8a8ba2e74c587",
-    ("tamper", "on", "on"): "aa5141629b352f6b7fece7029c122f4114648f371a32f659aa78542cbdd54a17",
-    ("sybil", "off", "on"): "b5821739de75034c0ee1cab8e3b076286d360ad6854981c55657e5209567e844",
-    ("sybil", "on", "on"): "b5821739de75034c0ee1cab8e3b076286d360ad6854981c55657e5209567e844",
-    ("replay", "off", "on"): "ee98ccc31b43969a2d22573c04e21ded6a2a6fa75ddfe2699a6d1f05d8efb43b",
-    ("replay", "on", "on"): "ee98ccc31b43969a2d22573c04e21ded6a2a6fa75ddfe2699a6d1f05d8efb43b",
-    ("none", "off", "off"): "e2c14c8865523aef93654edf2b4e7d3e64ecbe92ad7023854ed98b6427971c4b",
-    ("none", "on", "off"): "e2c14c8865523aef93654edf2b4e7d3e64ecbe92ad7023854ed98b6427971c4b",
-    ("tamper", "off", "off"): "45cb03550f1e3713fe11f41a154a116d79420c72e253568ca0b4e42e2c3bb111",
-    ("tamper", "on", "off"): "f7966be07a6e315cc7e84994c06174fed0264d9114c45617bfe6f675601e7412",
+    ("none", "off", "on"): "0b4382c30b340e2f1b921c082d99d3a65898af2ed103261f8686334039d7a062",
+    ("none", "on", "on"): "0b4382c30b340e2f1b921c082d99d3a65898af2ed103261f8686334039d7a062",
+    ("model-poison", "off", "on"): "4846332b9606ca99129e0d842c6cdb8b34a9c2a9ddfdde160e6789a6e10b061c",
+    ("model-poison", "on", "on"): "4846332b9606ca99129e0d842c6cdb8b34a9c2a9ddfdde160e6789a6e10b061c",
+    ("data-poison", "off", "on"): "25e95ea9ab060be8e447a04bf0d63d249b276fa6aae2b48502646ecc94a7d40d",
+    ("data-poison", "on", "on"): "25e95ea9ab060be8e447a04bf0d63d249b276fa6aae2b48502646ecc94a7d40d",
+    ("tamper", "off", "on"): "cc341a2fbb8ee7c9b0dd64c13015663bb686ee1a9150badf3399da3fb1744dd9",
+    ("tamper", "on", "on"): "df01283da0aae257b6266cf4e07f9ef2756c76844fc048e71793ad286824c8b1",
+    ("sybil", "off", "on"): "6b55437843e1dc035b9af7d46bfbae8ad2b60391c77a4084984336b9799f2926",
+    ("sybil", "on", "on"): "6b55437843e1dc035b9af7d46bfbae8ad2b60391c77a4084984336b9799f2926",
+    ("replay", "off", "on"): "5f3b2bad9e22352736ff38be7800bb8436fa67c584a3ce749601c67d76493e0c",
+    ("replay", "on", "on"): "5f3b2bad9e22352736ff38be7800bb8436fa67c584a3ce749601c67d76493e0c",
+    ("none", "off", "off"): "0b4382c30b340e2f1b921c082d99d3a65898af2ed103261f8686334039d7a062",
+    ("none", "on", "off"): "0b4382c30b340e2f1b921c082d99d3a65898af2ed103261f8686334039d7a062",
+    ("tamper", "off", "off"): "e3136ee9167547fdaf5fb4e1f9e8d44ad825fa09f2f1a485ac721bcff86c0eea",
+    ("tamper", "on", "off"): "633b3128ff74e47278d4897e8aef392c63f290bb4133a52c5697a05973ec94e9",
 }
 
 GOLDEN_VERDICTS = {
@@ -75,22 +80,22 @@ GOLDEN_VERDICTS = {
 }
 
 GOLDEN_WIRE = {
-    ("none", "off", "on"): "9ed13f33a56f3326d1706a3a9bfe5338dd115ce7a63f1f377b7e6ada4583f7a8",
-    ("none", "on", "on"): "da4a05961cf28ec56b0b4292d034413675b905fb472e87d8b195a320a8bd3cd6",
-    ("model-poison", "off", "on"): "7f47f6c8cd295cf58477b9c4be296c4e82c03c4500e0c7b5368a74d1ff9c9a4d",
-    ("model-poison", "on", "on"): "e85ef8add9cda0100bb203eb64b24a3c2a396e099aa48a0ea7111aae4d992d44",
-    ("data-poison", "off", "on"): "c5f7d8165a42fbee7a120e3bd7f6c46543cc898833641c6b87ab94675121a1a4",
-    ("data-poison", "on", "on"): "67a558c84aba205fe457963c2587e5683faa34c320d6fc7fe820a1cd20a15123",
-    ("tamper", "off", "on"): "1e19fae4126a961c1c908f17a4dccd5a6fc8dded908e82321181b8859c0daa86",
-    ("tamper", "on", "on"): "073e884d7f02e76d2b2d7bb2cecbc79563a3b1ff42689ccce9d1d7f9adcc7671",
-    ("sybil", "off", "on"): "aa05b563abf5e1796b9697bc319cbb3e6c42088bf664321dd307c3184cf1b126",
-    ("sybil", "on", "on"): "56b31a851ecbe5bca63b68b1015315385e6543c17392493b1a9a3b022e9b9f63",
-    ("replay", "off", "on"): "16dc81878a54308d07d634bac9512cd45463c3ca3970cb5c45811ad1372fa0e6",
-    ("replay", "on", "on"): "7d6a572809fbf9584f6adf71337772be7d4ad77b16046d157536499c5b889703",
-    ("none", "off", "off"): "9ed13f33a56f3326d1706a3a9bfe5338dd115ce7a63f1f377b7e6ada4583f7a8",
-    ("none", "on", "off"): "da4a05961cf28ec56b0b4292d034413675b905fb472e87d8b195a320a8bd3cd6",
-    ("tamper", "off", "off"): "c3f66e523c225c63beb8bdb4faa18439033ecda0a95beb98f2226b5ebd2160d9",
-    ("tamper", "on", "off"): "4bc4c91b0aed8e8d7a9b3b32d02cdf9dc1f97e9d1e969f4ce5fc113b31a6922c",
+    ("none", "off", "on"): "d69d431d4182676c2c09459469a028f05564ca4542fe50e08c67a7a023c9fc9d",
+    ("none", "on", "on"): "d28400d1f53a36876995b28e18e824eb7e22e18df0b499cca1d11aa85e62f1da",
+    ("model-poison", "off", "on"): "e9cea39e148f9326decb6a21a3c0762a870227dfe9743eb3976b4f1a99ee2e06",
+    ("model-poison", "on", "on"): "33c6990237b7a6aed566034dc247137be0f60e1ad6a39f1c66dd075c869b3683",
+    ("data-poison", "off", "on"): "c3f84e63acf2dd687230f233c3b3e5f24a32bd124b7cb214656180888dd82522",
+    ("data-poison", "on", "on"): "13e475502b177154805983dc838bc4af5462b23b992e76ec4e099eb7bbb383e9",
+    ("tamper", "off", "on"): "f9b86205654e3452c2087f57a7fb21a3bfe05e3f610e778b4aa0eeb9556e2a9d",
+    ("tamper", "on", "on"): "c9614f0e66cdb25780e7d3081dfb340959d72be05fa61fd78547c558a6325642",
+    ("sybil", "off", "on"): "84bab82d0021d6733a09b08330fa114d1300125627db43aa458af452db0302be",
+    ("sybil", "on", "on"): "26b4097c8bbe38f93faa27240dee0c81c00d21bee185db3f7f7039ba29cb3e45",
+    ("replay", "off", "on"): "9d8f9e21a2cf99c6726b84effd45637375974f9c892bb210ad25671d29d4152a",
+    ("replay", "on", "on"): "93d08bb63c54d9df627afae4d5dc0604db7531c0e978f30e1b04140e7bd00d9a",
+    ("none", "off", "off"): "d69d431d4182676c2c09459469a028f05564ca4542fe50e08c67a7a023c9fc9d",
+    ("none", "on", "off"): "d28400d1f53a36876995b28e18e824eb7e22e18df0b499cca1d11aa85e62f1da",
+    ("tamper", "off", "off"): "500267c233459397071c8392664b036dcf1de0544acb549adf0e00dc4832e9f7",
+    ("tamper", "on", "off"): "f11b13d322052289c0c2f7b29692f404b41a0b6ba608a099d6a40ae3df05652a",
 }
 
 
@@ -166,3 +171,29 @@ def test_golden_digest(kind, encrypt, security, tmp_path):
     assert verdicts == GOLDEN_VERDICTS[(kind, encrypt, security)]
     assert digest == GOLDEN[(kind, encrypt, security)]
     assert wire == GOLDEN_WIRE[(kind, encrypt, security)]
+
+
+@pytest.mark.parametrize("kind,encrypt,security", sorted(GOLDEN))
+def test_every_signature_verifies_under_cryptography(kind, encrypt, security, tmp_path, monkeypatch):
+    rsa = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.rsa")
+    from cryptography.hazmat.primitives.asymmetric.padding import PKCS1v15
+    from cryptography.hazmat.primitives.asymmetric.utils import Prehashed
+    from cryptography.hazmat.primitives.hashes import SHA256
+
+    signed = []
+    real_sign = crypto.sign
+
+    def capture(digest, private):
+        signature = real_sign(digest, private)
+        signed.append((digest, signature, private))
+        return signature
+
+    monkeypatch.setattr(crypto, "sign", capture)
+    golden_digests(kind, encrypt, security, tmp_path)
+    # each round, each of the 3 clients signs its update and its report, and
+    # the server signs its own report
+    assert len(signed) >= ROUNDS * (2 * 3 + 1)
+    assert len({private.n for _, _, private in signed}) >= 3 + 1
+    for digest, signature, private in signed:
+        public_key = rsa.RSAPublicNumbers(private.e, private.n).public_key()
+        public_key.verify(signature, digest, PKCS1v15(), Prehashed(SHA256()))
