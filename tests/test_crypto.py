@@ -321,7 +321,7 @@ def test_sign_refuses_a_faulty_crt_signature(keypair, monkeypatch):
     # (Boneh, DeMillo and Lipton, 1997).
     monkeypatch.setattr(crypto, "verify", lambda *args: True)
     s = int.from_bytes(crypto.sign(digest, faulty), "big")
-    leaked = math.gcd(pow(s, pub.e, pub.n) - _emsa_pkcs1_v15(digest, 128), pub.n)
+    leaked = math.gcd(pow(s, pub.e, pub.n) - _emsa_pkcs1_v15(digest, pub.n.bit_length() // 8), pub.n)
     r1, r2, r3 = priv.primes
     assert leaked == r1 * r3
     assert pub.n // leaked == r2
