@@ -11,9 +11,9 @@ One round, from the server's point of view:
   4. surviving updates are combined by a data-size-weighted mean and added
      to the global parameters
   5. the server checkpoints its own pipeline and self-verifies the trace
-     before committing the new state and the round's audit records; it
-     does so every round, including one where nothing arrived, and a
-     round that aborts leaves the server exactly as it was
+     before committing the new state; it does so every round, including
+     one where nothing arrived, and a round that aborts leaves the server
+     exactly as it was.  Accepted outcomes carry their own audit records.
 
 Verification order matters: a forged sender must be rejected as
 unknown-identity even when its payload is internally consistent, and a
@@ -499,8 +499,9 @@ def aggregate(updates: Sequence[tuple[str, int, ParameterVector]]) -> Optional[P
 
 @dataclass
 class Server:
-    """Holds the registry (client id -> RSA public key), session keys, global
-    model state and the audit log.  Freshness state lives for one round only."""
+    """Holds the registry (client id -> RSA public key), session keys and
+    global model state.  Audit records leave on each round's report, so the
+    state stays bounded; freshness state lives for one round only."""
 
     architecture: Model
     state: GlobalModelState
@@ -511,7 +512,6 @@ class Server:
     security: bool = True
     registry: dict[str, crypto.RsaPublicKey] = field(default_factory=dict)
     session_keys: dict[str, bytes] = field(default_factory=dict)
-    audit_log: list[AuditRecord] = field(default_factory=list)
 
     @classmethod
     def create(
@@ -559,11 +559,12 @@ def _ingest(
     delivery: Delivery,
     round_no: int,
     fresh: set[tuple[str, int]],
-) -> tuple[MessageOutcome, Optional[tuple[str, int, ParameterVector]], Optional[AuditRecord]]:
-    """Verify one delivery; returns (outcome, accepted item or None, audit or None).
+) -> tuple[MessageOutcome, Optional[tuple[str, int, ParameterVector]]]:
+    """Verify one delivery; returns (outcome, accepted item or None).
 
-    `fresh` holds the (id, round) pairs accepted so far this round; an
-    accepted delivery adds its pair.  The server itself is not changed.
+    An accepted outcome carries its audit record.  `fresh` holds the (id,
+    round) pairs accepted so far this round; an accepted delivery adds its
+    pair.  The server itself is not changed.
     """
     layout = server.architecture.params.layout
     payload = delivery.payload
@@ -577,7 +578,7 @@ def _ingest(
                 honest=delivery.honest,
                 attributable=False,
             )
-            return outcome, None, None
+            return outcome, None
     else:
         msg = payload
 
@@ -597,25 +598,26 @@ def _ingest(
         # checks disabled: everything that can be opened is taken at face value
         reason, update = _accept_unverified(msg, layout, session_key)
 
+    audit, item = None, None
+    if reason == REASON_OK:
+        assert update is not None
+        fresh.add((msg.client_id, msg.round))
+        audit = AuditRecord(
+            round=round_no,
+            client_id=msg.client_id,
+            digest=msg.digest,
+            signature=msg.signature,
+            public_key=public.to_bytes() if public is not None else None,
+        )
+        item = (msg.client_id, msg.data_size, update)
     outcome = MessageOutcome(
         client_id=msg.client_id,
         reason=reason,
         honest=delivery.honest,
         attributable=public is not None,
+        audit=audit,
     )
-    if not outcome.accepted:
-        return outcome, None, None
-
-    assert update is not None
-    fresh.add((msg.client_id, msg.round))
-    audit = AuditRecord(
-        round=round_no,
-        client_id=msg.client_id,
-        digest=msg.digest,
-        signature=msg.signature,
-        public_key=public.to_bytes() if public is not None else None,
-    )
-    return outcome, (msg.client_id, msg.data_size, update), audit
+    return outcome, item
 
 
 def _accept_unverified(
@@ -664,16 +666,13 @@ def run_round(
     # everything below is staged and committed only after the self-check
     outcomes: list[MessageOutcome] = []
     accepted: list[tuple[str, int, ParameterVector]] = []
-    round_audit: list[AuditRecord] = []
     fresh: set[tuple[str, int]] = set()
     for delivery in deliveries:
         slog = _checkpoint(slog, CheckpointLabel.SERVER_RECEIVED, SERVER_ID, round_no)
-        outcome, item, audit = _ingest(server, delivery, round_no, fresh)
+        outcome, item = _ingest(server, delivery, round_no, fresh)
         outcomes.append(outcome)
         if item is not None:
             accepted.append(item)
-        if audit is not None:
-            round_audit.append(audit)
 
     slog = _checkpoint(slog, CheckpointLabel.SERVER_VERIFIED, SERVER_ID, round_no)
     delta = aggregate(accepted)
@@ -692,10 +691,9 @@ def run_round(
             f"server trace failed self-verification at entry {self_check.index}: {self_check.reason}"
         )
     server.state = new_state
-    server.audit_log.extend(round_audit)
     accuracy = models.evaluate(server.architecture.with_params(new_state.params), eval_data)
 
-    verification, authentication, incidents = reporting.compute_metrics(outcomes, round_audit)
+    verification, authentication, incidents = reporting.compute_metrics(outcomes)
     return RoundReport(
         round=new_state.round,
         outcomes=outcomes,

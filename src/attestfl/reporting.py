@@ -6,9 +6,9 @@ Metric definitions:
                        honest updates received
   authentication rate  share of accepted updates attributable to a
                        registered identity, as a percentage of accepted
-  incidents            accepted updates whose stored (digest, signature,
-                       public key) triple fails verification when replayed
-                       from the audit log alone
+  incidents            accepted updates whose (digest, signature, public key)
+                       audit record is missing or fails verification when
+                       replayed from that stored material alone
 
 Rates are None when their denominator is zero and appear as "na" in CSV.
 """
@@ -91,6 +91,7 @@ class MessageOutcome:
     reason: str
     honest: bool  # sent by an honest registered client (possibly tampered in transit)
     attributable: bool  # claimed identity was found in the registry
+    audit: Optional[AuditRecord] = None  # set exactly when accepted; the server keeps none
 
     @property
     def accepted(self) -> bool:
@@ -112,10 +113,7 @@ class RoundReport:
         return sum(1 for o in self.outcomes if o.accepted)
 
 
-def compute_metrics(
-    outcomes: Sequence[MessageOutcome],
-    audit_records: Sequence[AuditRecord],
-) -> tuple[Optional[float], Optional[float], int]:
+def compute_metrics(outcomes: Sequence[MessageOutcome]) -> tuple[Optional[float], Optional[float], int]:
     """(verification rate, authentication rate, incident count) for one round."""
     honest = [o for o in outcomes if o.honest]
     if honest:
@@ -131,7 +129,7 @@ def compute_metrics(
     else:
         authentication = None
 
-    incidents = sum(1 for record in audit_records if not replay_audit_record(record))
+    incidents = sum(1 for o in accepted if o.audit is None or not replay_audit_record(o.audit))
     return verification, authentication, incidents
 
 

@@ -6,7 +6,7 @@ the way `harness.run_experiment` runs it.  One SHA-256 per config covers:
   - the CSV table without its `duration_ms` column (abort marker included)
   - the digest of every applied aggregate (`state.history`)
   - every round's per-message outcomes, in delivery order
-  - every record in the server's audit log
+  - the audit record on every accepted outcome, in delivery order
 
 `GOLDEN_VERDICTS` pins the first three items alone, without the audit
 records: it holds what the run decided and computed, with no signature or key
@@ -152,10 +152,14 @@ def golden_digests(kind: str, encrypt: str, security: str, tmp_path) -> tuple[st
             hasher.update(repr((o.client_id, o.reason, o.accepted, o.honest, o.attributable)).encode())
         hasher.update(b"\n")
     verdicts = hasher.hexdigest()
-    for record in sim.server.audit_log:
-        key = None if record.public_key is None else record.public_key.hex()
-        fields = (record.round, record.client_id, record.digest.hex(), record.signature.hex(), key)
-        hasher.update(repr(fields).encode() + b"\n")
+    for report in table.reports:
+        for o in report.outcomes:
+            record = o.audit
+            assert (record is not None) == o.accepted
+            if record is not None:
+                key = None if record.public_key is None else record.public_key.hex()
+                fields = (record.round, record.client_id, record.digest.hex(), record.signature.hex(), key)
+                hasher.update(repr(fields).encode() + b"\n")
     return hasher.hexdigest(), verdicts, wire.hasher.hexdigest()
 
 

@@ -126,20 +126,30 @@ def test_batch_full_keyword():
 # ---- metric arithmetic ---- #
 
 
-def _outcome(reason, honest=True, attributable=True):
-    return MessageOutcome(client_id="x", reason=reason, honest=honest, attributable=attributable)
+def _outcome(reason, honest=True, attributable=True, audit=None):
+    return MessageOutcome(client_id="x", reason=reason, honest=honest, attributable=attributable, audit=audit)
+
+
+def _signed_record():
+    pair = crypto.keygen_signature(key_bits=1024, seed=600)
+    digest = crypto.sha256(b"payload")
+    return AuditRecord(
+        round=0, client_id="a", digest=digest,
+        signature=crypto.sign(digest, pair.private), public_key=pair.public.to_bytes(),
+    )
 
 
 def test_compute_metrics_hand_case():
+    record = _signed_record()
     outcomes = [
-        _outcome("ok"),
-        _outcome("ok"),
+        _outcome("ok", audit=record),
+        _outcome("ok", audit=record),
         _outcome("cfa-halt"),  # integrity passed, attestation rejected
         _outcome("digest-mismatch"),
         _outcome("unknown-identity", honest=False, attributable=False),
-        _outcome("ok", honest=False, attributable=False),  # accepted but unattributable
+        _outcome("ok", honest=False, attributable=False, audit=record),  # accepted but unattributable
     ]
-    verification, authentication, incidents = compute_metrics(outcomes, [])
+    verification, authentication, incidents = compute_metrics(outcomes)
     # honest: 4, of which ok+ok+cfa-halt passed integrity -> 75%
     assert verification == 75.0
     # accepted: 3, attributable 2 -> 66.66..%
@@ -148,31 +158,26 @@ def test_compute_metrics_hand_case():
 
 
 def test_compute_metrics_empty_denominators():
-    verification, authentication, incidents = compute_metrics([], [])
+    verification, authentication, incidents = compute_metrics([])
     assert verification is None and authentication is None and incidents == 0
     only_dishonest = [_outcome("unknown-identity", honest=False, attributable=False)]
-    verification, authentication, _ = compute_metrics(only_dishonest, [])
+    verification, authentication, _ = compute_metrics(only_dishonest)
     assert verification is None and authentication is None
 
 
 def test_audit_replay_detects_bogus_records():
-    pair = crypto.keygen_signature(key_bits=1024, seed=600)
-    digest = crypto.sha256(b"payload")
-    good = AuditRecord(
-        round=0, client_id="a", digest=digest,
-        signature=crypto.sign(digest, pair.private), public_key=pair.public.to_bytes(),
-    )
+    from dataclasses import replace as dc_replace
+
+    good = _signed_record()
     assert replay_audit_record(good)
-    assert not replay_audit_record(
-        AuditRecord(round=0, client_id="a", digest=digest, signature=b"\x00" * 64, public_key=pair.public.to_bytes())
-    )
-    assert not replay_audit_record(
-        AuditRecord(round=0, client_id="a", digest=digest, signature=good.signature, public_key=None)
-    )
-    assert not replay_audit_record(
-        AuditRecord(round=0, client_id="a", digest=digest, signature=good.signature, public_key=b"junk")
-    )
-    _, _, incidents = compute_metrics([], [good, good, AuditRecord(0, "a", digest, b"", None)])
+    assert not replay_audit_record(dc_replace(good, signature=b"\x00" * 64))
+    assert not replay_audit_record(dc_replace(good, public_key=None))
+    assert not replay_audit_record(dc_replace(good, public_key=b"junk"))
+    bogus = AuditRecord(0, "a", good.digest, b"", None)
+    _, _, incidents = compute_metrics([_outcome("ok", audit=r) for r in (good, good, bogus)])
+    assert incidents == 1
+    # an accepted outcome that carries no record cannot be replayed either
+    _, _, incidents = compute_metrics([_outcome("ok", audit=good), _outcome("ok")])
     assert incidents == 1
 
 
