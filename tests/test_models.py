@@ -8,6 +8,7 @@ are testing.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -301,6 +302,45 @@ def test_minibatch_training_is_seed_deterministic():
         model, shard, models.TrainingConfig(learning_rate=0.1, epochs=2, batch_size=16, seed=22)
     )
     assert not np.array_equal(first.values, other_seed.values)
+
+
+# SHA-256 over new_params.values and update.values of four chained
+# `local_train` calls; see test_local_train_bytes_are_pinned
+TRAINING_PINS = {
+    ("logreg", "full"): "023df25bab25d54f3c52e068395a941bb8b52e756695c6afdbb7db1d84c32c62",
+    ("logreg", 16): "15007caee0bd9655490ef68e87f63dd64cd33cb767d45d451b148836f8cbb57d",
+    ("logreg", 7): "95f541832e7c18522eadc9694101977a619262188e0b55700c9be91528b0b182",
+    ("tanh", "full"): "7259b90abbc033e007a33e9a38f70e91ed68f458c4b8dc64256c4794bcc44b0b",
+    ("tanh", 16): "a3314b549583d4b2f0838a4d967c1493136ace9116b0c2023f32f01df67b7650",
+    ("tanh", 7): "ecc7308651b0e9a449b5af2330a072262cea7738cfb31426b2c3679b951ea4e6",
+    ("relu", "full"): "3c1c356da5ecafd64ab5cd9a055945e0aa1c60c630fa373b25531d8f71872ab7",
+    ("relu", 16): "34445e17acb73e222ae6d72566b434ffbe0222b5e6414a1b3419e24622f8b842",
+    ("relu", 7): "c679ba9e0aa252cf9626ce06a460001afef49918e1b9472b0bcb72c031eb89da",
+}
+
+
+@pytest.mark.parametrize("kind, batch_size", list(TRAINING_PINS))
+def test_local_train_bytes_are_pinned(kind, batch_size):
+    """Training output bytes for logistic regression and tanh/relu MLPs,
+    full batch, even mini-batches and a ragged last batch (50 rows in 7s).
+
+    A refactor of the training code keeps every pin.  Like `GOLDEN`, these
+    bytes hold only on this CPU's BLAS kernel and numpy SIMD level: `@`,
+    `exp`, `log` and `tanh` round differently elsewhere.
+    """
+    shard = generate_synthetic(1, 50, 5, 3, separation=2.0, seed=12)[0]
+    if kind == "logreg":
+        model = models.logistic_regression(5, 3)
+    else:
+        model = models.mlp(5, 3, hidden_width=6, activation=kind, seed=5)
+    digest = hashlib.sha256()
+    for call in range(4):
+        cfg = models.TrainingConfig(learning_rate=0.3, epochs=2, batch_size=batch_size, seed=call)
+        new_params, update = models.local_train(model, shard, cfg)
+        digest.update(new_params.values.tobytes())
+        digest.update(update.values.tobytes())
+        model = model.with_params(new_params)
+    assert digest.hexdigest() == TRAINING_PINS[(kind, batch_size)]
 
 
 def test_training_aborts_on_overflow():
