@@ -53,8 +53,8 @@ class Dataset:
             raise ValueError("num_classes must be positive")
         if labs.size and (labs.min() < 0 or labs.max() >= self.num_classes):
             raise ValueError("labels out of range")
-        feats.flags.writeable = False
-        labs.flags.writeable = False
+        feats.setflags(write=False)
+        labs.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
 

@@ -1,6 +1,8 @@
 """Local training: multinomial logistic regression and a one-hidden-layer MLP.
 
-Everything runs in float64 with analytic gradients.  Training is plain
+Everything runs in float64 with analytic gradients.  `_forward` is the one
+definition of the network; each training step runs it once, for the loss and
+the gradient together, on a raw float64 parameter array.  Training is plain
 gradient descent, full batch by default, optional shuffled mini-batches with
 a seeded generator.  The parameter update returned by `local_train` is always
 new parameters minus starting parameters, computed exactly that way.
@@ -108,10 +110,9 @@ def mlp(num_features: int, num_classes: int, hidden_width: int, activation: str 
     layout = mlp_layout(num_features, num_classes, hidden_width)
     rng = np.random.default_rng(seed)
     values = np.zeros(layout.size)
-    slices = layout.slices()
+    views = layout.split(values)
     for name, fan_in in (("w1", num_features), ("w2", hidden_width)):
-        sl, shape = slices[name]
-        values[sl] = (rng.standard_normal(shape) / np.sqrt(fan_in)).reshape(-1)
+        views[name][...] = rng.standard_normal(views[name].shape) / np.sqrt(fan_in)
     return Model(
         kind=KIND_MLP,
         params=ParameterVector(values, layout),
@@ -123,24 +124,61 @@ def mlp(num_features: int, num_classes: int, hidden_width: int, activation: str 
 
 
 # --------------------------------------------------------------------------- #
-# logits / loss / gradient
+# the network: one forward pass, one loss-and-gradient pass
 # --------------------------------------------------------------------------- #
 
 
-def _logits(model: Model, features: np.ndarray) -> tuple[np.ndarray, dict]:
-    t = model.params.tensors()
+def _forward(model: Model, values: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, tuple | None]:
+    """Logits under the flat parameters `values`, and the MLP's (pre, hidden)
+    activations for backpropagation (None for logistic regression)."""
+    t = model.params.layout.split(values)
     if model.kind == KIND_LOGREG:
-        return features @ t["weights"].T + t["bias"], {}
+        return features @ t["weights"].T + t["bias"], None
     pre = features @ t["w1"].T + t["b1"]
     hidden = np.tanh(pre) if model.activation == "tanh" else np.maximum(pre, 0.0)
-    logits = hidden @ t["w2"].T + t["b2"]
-    return logits, {"pre": pre, "hidden": hidden}
+    return hidden @ t["w2"].T + t["b2"], (pre, hidden)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=-1, keepdims=True)
+def _loss_and_gradient(
+    model: Model, values: np.ndarray, features: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy and its flat gradient from one forward pass, unchecked.
+
+    `exp(logits - max)` serves both the log-sum-exp loss and the softmax.
+    Extreme parameters overflow to inf or nan, which callers treat as
+    divergence, so numpy's warnings are suppressed rather than surfaced.
+    """
+    n = labels.shape[0]
+    rows = np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, cache = _forward(model, values, features)
+        top = logits.max(axis=1, keepdims=True)
+        expd = np.exp(logits - top)
+        total = expd.sum(axis=1, keepdims=True)
+        mean_loss = float(np.mean(np.log(total[:, 0]) + top[:, 0] - logits[rows, labels]))
+        # d(mean CE)/d(logits): predicted probability minus one-hot target
+        delta = expd / total
+        delta[rows, labels] -= 1.0
+        delta /= n
+
+        layout = model.params.layout
+        grad = np.zeros(layout.size)
+        g = layout.split(grad)
+        if cache is None:
+            g["weights"][...] = delta.T @ features
+            g["bias"][...] = delta.sum(axis=0)
+        else:
+            pre, hidden = cache
+            g["w2"][...] = delta.T @ hidden
+            g["b2"][...] = delta.sum(axis=0)
+            back = delta @ layout.split(values)["w2"]
+            if model.activation == "tanh":
+                back = back * (1.0 - hidden**2)
+            else:
+                back = back * (pre > 0.0)
+            g["w1"][...] = back.T @ features
+            g["b1"][...] = back.sum(axis=0)
+    return mean_loss, grad
 
 
 def _require_data(model: Model, data: Dataset) -> None:
@@ -153,56 +191,18 @@ def _require_data(model: Model, data: Dataset) -> None:
 
 
 def loss(model: Model, data: Dataset) -> float:
-    """Mean cross-entropy, computed through log-sum-exp so it stays finite
-    for any finite parameters.
-
-    Extreme parameters can push intermediate logits to inf; the result is
-    then non-finite, which training treats as divergence, so the numpy
-    overflow warning is suppressed rather than surfaced.
-    """
+    """Mean cross-entropy, through log-sum-exp; non-finite only on overflow."""
     _require_data(model, data)
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits, _ = _logits(model, data.features)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-        true_logit = logits[np.arange(data.size), data.labels]
-        return float(np.mean(lse - true_logit))
+    return _loss_and_gradient(model, model.params.values, data.features, data.labels)[0]
 
 
 def gradient(model: Model, data: Dataset) -> ParameterVector:
     """Mean-loss gradient in the model's parameter layout."""
     _require_data(model, data)
-    X = data.features
-    n = data.size
-    logits, cache = _logits(model, X)
-    probs = _softmax(logits)
-    # d(mean CE)/d(logits): predicted probability minus one-hot target
-    delta = probs
-    delta[np.arange(n), data.labels] -= 1.0
-    delta /= n
-
-    layout = model.params.layout
-    grad = np.zeros(layout.size)
-    slices = layout.slices()
-    if model.kind == KIND_LOGREG:
-        grad[slices["weights"][0]] = (delta.T @ X).reshape(-1)
-        grad[slices["bias"][0]] = delta.sum(axis=0)
-    else:
-        t = model.params.tensors()
-        hidden, pre = cache["hidden"], cache["pre"]
-        grad[slices["w2"][0]] = (delta.T @ hidden).reshape(-1)
-        grad[slices["b2"][0]] = delta.sum(axis=0)
-        back = delta @ t["w2"]
-        if model.activation == "tanh":
-            back = back * (1.0 - hidden**2)
-        else:
-            back = back * (pre > 0.0)
-        grad[slices["w1"][0]] = (back.T @ X).reshape(-1)
-        grad[slices["b1"][0]] = back.sum(axis=0)
-
+    _, grad = _loss_and_gradient(model, model.params.values, data.features, data.labels)
     if not np.all(np.isfinite(grad)):
         raise TrainingError("non-finite gradient")
-    return ParameterVector(grad, layout)
+    return ParameterVector(grad, model.params.layout)
 
 
 # --------------------------------------------------------------------------- #
@@ -211,17 +211,14 @@ def gradient(model: Model, data: Dataset) -> ParameterVector:
 
 
 def _batches(data: Dataset, batch_size: int | str, rng: np.random.Generator):
+    """(features, labels) per step; with a seeded shuffle the last batch may be short."""
     if batch_size == FULL_BATCH or batch_size >= data.size:
-        yield data
+        yield data.features, data.labels
         return
     order = rng.permutation(data.size)
     for start in range(0, data.size, batch_size):
         rows = order[start : start + batch_size]
-        yield Dataset(
-            features=data.features[rows],
-            labels=data.labels[rows],
-            num_classes=data.num_classes,
-        )
+        yield data.features[rows], data.labels[rows]
 
 
 def local_train(model: Model, data: Dataset, cfg: TrainingConfig) -> tuple[ParameterVector, ParameterVector]:
@@ -229,24 +226,24 @@ def local_train(model: Model, data: Dataset, cfg: TrainingConfig) -> tuple[Param
 
     Returns (new_params, update) where update is exactly new_params minus the
     starting parameters.  Aborts with TrainingError if the loss, gradient, or
-    a parameter step stops being finite.
+    a parameter step stops being finite, checked in that order each step.
     """
     _require_data(model, data)
     start = model.params
-    current = model
+    values = start.values
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.epochs):
-        for batch in _batches(data, cfg.batch_size, rng):
-            batch_loss = loss(current, batch)
+        for features, labels in _batches(data, cfg.batch_size, rng):
+            batch_loss, grad = _loss_and_gradient(model, values, features, labels)
             if not np.isfinite(batch_loss):
                 raise TrainingError("non-finite loss")
-            grad = gradient(current, batch)
+            if not np.all(np.isfinite(grad)):
+                raise TrainingError("non-finite gradient")
             with np.errstate(over="ignore"):  # overflow is detected, not warned
-                stepped = current.params.values - cfg.learning_rate * grad.values
-            if not np.all(np.isfinite(stepped)):
+                values = values - cfg.learning_rate * grad
+            if not np.all(np.isfinite(values)):
                 raise TrainingError("non-finite parameter step")
-            current = current.with_params(ParameterVector(stepped, start.layout))
-    new_params = current.params
+    new_params = ParameterVector(values, start.layout)
     update = ParameterVector(new_params.values - start.values, start.layout)
     return new_params, update
 
@@ -256,6 +253,6 @@ def evaluate(model: Model, data: Dataset) -> float:
     _require_data(model, data)
     # huge parameters overflow to inf or nan; argmax still decides, silently
     with np.errstate(over="ignore", invalid="ignore"):
-        logits, _ = _logits(model, data.features)
+        logits, _ = _forward(model, model.params.values, data.features)
     predicted = np.argmax(logits, axis=1)  # argmax takes the first maximum
     return float(np.mean(predicted == data.labels))

@@ -38,12 +38,14 @@ class ParameterLayout:
     def size(self) -> int:
         return sum(prod(shape) for _, shape in self.layers)
 
-    def slices(self) -> dict[str, tuple[slice, tuple[int, ...]]]:
-        out: dict[str, tuple[slice, tuple[int, ...]]] = {}
+    def split(self, values: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of each layer of a flat `values` array, reshaped per the
+        layout; writes through a view land in `values`."""
+        out: dict[str, np.ndarray] = {}
         offset = 0
         for name, shape in self.layers:
             n = prod(shape)
-            out[name] = (slice(offset, offset + n), shape)
+            out[name] = values[offset : offset + n].reshape(shape)
             offset += n
         return out
 
@@ -61,7 +63,7 @@ class ParameterVector:
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=np.float64, copy=True).reshape(-1)
-        values.flags.writeable = False
+        values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if values.size != self.layout.size:
             raise LayoutError(f"vector length {values.size} does not match layout size {self.layout.size}")
@@ -80,10 +82,7 @@ class ParameterVector:
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Read-only views of each layer, reshaped per the layout."""
-        return {
-            name: self.values[sl].reshape(shape)
-            for name, (sl, shape) in self.layout.slices().items()
-        }
+        return self.layout.split(self.values)
 
     # ---- arithmetic (layout-checked) ---- #
 

@@ -438,7 +438,7 @@ def test_c10_all_single_mutations_halt():
 def test_c11_per_client_round_cost_is_flat():
     def per_client_seconds(n):
         cfg = harness.parse_config(
-            f"clients = {n}\nrounds = 3\nseed = 9\ndata.per_client = 50\ntrain.epochs = 2\n" + FAST_KEYS
+            f"clients = {n}\nrounds = 7\nseed = 9\ndata.per_client = 50\ntrain.epochs = 2\n" + FAST_KEYS
         )
         sim = harness.build_simulation(cfg)
         times = []

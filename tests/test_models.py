@@ -57,9 +57,12 @@ def tiny_dataset() -> Dataset:
 def test_layout_size_and_slices():
     layout = models.logreg_layout(3, 2)
     assert layout.size == 8
-    slices = layout.slices()
-    assert slices["weights"][0] == slice(0, 6)
-    assert slices["bias"][0] == slice(6, 8)
+    values = np.arange(8.0)
+    views = layout.split(values)
+    assert np.array_equal(views["weights"], [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    assert np.array_equal(views["bias"], [6.0, 7.0])
+    views["bias"][0] = -1.0  # views, not copies: writes land in the flat vector
+    assert values[6] == -1.0
 
 
 def test_parameter_vector_rejects_bad_length_and_nonfinite():
@@ -119,9 +122,9 @@ def test_forward_mlp_matches_scalar_arithmetic():
     # hand-built 2-2-2 tanh network evaluated with plain math calls
     layout = models.mlp_layout(2, 2, 2)
     values = np.zeros(layout.size)
-    slices = layout.slices()
-    values[slices["w1"][0]] = [0.5, 0.0, 0.0, 0.5]  # w1 = [[.5,0],[0,.5]]
-    values[slices["w2"][0]] = [1.0, 0.0, 0.0, 1.0]  # w2 = identity
+    views = layout.split(values)
+    views["w1"][...] = [[0.5, 0.0], [0.0, 0.5]]
+    views["w2"][...] = [[1.0, 0.0], [0.0, 1.0]]  # identity
     model = models.mlp(2, 2, hidden_width=2).with_params(ParameterVector(values, layout))
     x = [1.0, -1.0]
     h0 = math.tanh(0.5 * x[0])
@@ -341,6 +344,21 @@ def test_local_train_bytes_are_pinned(kind, batch_size):
         digest.update(update.values.tobytes())
         model = model.with_params(new_params)
     assert digest.hexdigest() == TRAINING_PINS[(kind, batch_size)]
+
+
+def test_training_runs_one_forward_pass_per_step(monkeypatch):
+    calls = []
+    forward = models._forward
+
+    def counted(*args):
+        calls.append(args)
+        return forward(*args)
+
+    monkeypatch.setattr(models, "_forward", counted)
+    shard = generate_synthetic(1, 50, 5, 3, separation=2.0, seed=12)[0]
+    cfg = models.TrainingConfig(epochs=3, batch_size=16)
+    models.local_train(models.mlp(5, 3, hidden_width=6), shard, cfg)
+    assert len(calls) == 12  # 3 epochs of 4 batches: 16, 16, 16 and 2 rows
 
 
 def test_training_aborts_on_overflow():

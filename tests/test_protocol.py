@@ -711,14 +711,10 @@ def test_only_history_grows():
 
 def test_server_memory_does_not_grow_with_rounds():
     import gc
-    import sys
     import tracemalloc
 
     def settled():
-        # the interpreter's method cache keeps the attribute-name strings
-        # that numpy's flag setter makes, a few KB that depend on addresses
         gc.collect()
-        sys._clear_type_cache()
         return tracemalloc.get_traced_memory()[0]
 
     server, clients = make_world()
