@@ -90,8 +90,8 @@ class AttackConfig:
             raise ValueError("fraction must lie in [0, 1]")
         if not math.isfinite(self.strength):
             raise ValueError("strength must be finite")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not 0 <= self.seed < crypto.SEED_LIMIT:
+            raise ValueError("seed must lie in [0, 2**127)")
 
 
 def choose_compromised(client_ids: Sequence[str], fraction: float, seed: int) -> frozenset[str]:

@@ -2,8 +2,8 @@
 
 Actors emit checkpoints as they move through a round.  Each checkpoint is
 folded into a hash chain, the chain head is signed, and a verifier replays
-the chain, checks the signature, and walks the label sequence against an
-expected control-flow graph.  Any single change to a recorded trace, or any
+the chain, checks the signature, and walks the checkpoints against an
+expected control-flow graph and the one actor and round they must name.  Any single change to a recorded trace, or any
 execution that strays from the graph, verifiably fails.
 
 Chain rule: digest[k] = hash(digest[k-1] + encode(checkpoint[k])), seeded
@@ -283,12 +283,17 @@ def verify_trace(
     graph: ControlFlowGraph,
     report: AttestationReport,
     public: crypto.RsaPublicKey,
+    actor: str,
+    round_no: int,
 ) -> TraceVerdict:
     """Full trace check, in order: chain replay, report signature, every
-    transition against the graph, then start and end labels.
+    step against the graph, then start and end labels.
 
-    Returns a passing verdict, or the index and reason of the first failing
-    entry.  The signature check uses index len(entries), one past the last.
+    A step is admissible only if its checkpoint names `actor` and `round_no`
+    and its transition is an edge of the graph, so a trace lifted from
+    another actor or round halts as an illegal transition.  Returns a passing
+    verdict, or the index and reason of the first failing entry.  The
+    signature check uses index len(entries), one past the last.
     """
     entries = report.log.entries
 
@@ -303,9 +308,10 @@ def verify_trace(
 
     prev: Optional[CheckpointLabel] = None
     for index, entry in enumerate(entries):
-        if not cfa_check(graph, prev, entry.checkpoint.label):
+        cp = entry.checkpoint
+        if cp.actor != actor or cp.round != round_no or not cfa_check(graph, prev, cp.label):
             return TraceVerdict(index, ILLEGAL_TRANSITION)
-        prev = entry.checkpoint.label
+        prev = cp.label
 
     if not entries:
         return TraceVerdict(0, WRONG_ENDPOINTS)

@@ -83,8 +83,8 @@ def _print_table(table: MetricsTable) -> None:
             f"{report.accuracy:>8.4f}"
         )
     print(
-        f"{'summary':>7}  {_fmt(table._mean_rate('verification_rate')):>9}  "
-        f"{_fmt(table._mean_rate('authentication_rate')):>9}  {table.total_incidents:>9}  "
+        f"{'summary':>7}  {_fmt(table.mean_rate('verification_rate')):>9}  "
+        f"{_fmt(table.mean_rate('authentication_rate')):>9}  {table.total_incidents:>9}  "
         f"{table.final_accuracy:>8.4f}"
     )
 
@@ -98,7 +98,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"attestfl: cannot read config: {exc}", file=sys.stderr)
             return 1
 

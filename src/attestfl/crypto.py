@@ -47,6 +47,7 @@ __all__ = [
     "canonical_encode",
     "canonical_decode",
     "encode_param_values",
+    "read_param_values",
     "RsaPublicKey",
     "RsaPrivateKey",
     "SignatureKeyPair",
@@ -61,6 +62,7 @@ __all__ = [
     "dh_shared",
     "kdf",
     "derive_nonce",
+    "SEED_LIMIT",
     "derive_seed",
     "CipherEnvelope",
     "encrypt",
@@ -191,6 +193,11 @@ def encode_param_values(values: Sequence[float] | np.ndarray) -> bytes:
     return arr.size.to_bytes(8, "big") + arr.astype(">f8").tobytes()
 
 
+def read_param_values(reader: Reader) -> np.ndarray:
+    """Read one block written by `encode_param_values` as a float64 array."""
+    return np.frombuffer(reader.take(8 * reader.uint(8)), dtype=">f8").astype(np.float64)
+
+
 def canonical_encode(values: Sequence[float] | np.ndarray, round_no: int, client_id: str, data_size: int) -> bytes:
     """Injective byte encoding of an update and its context.
 
@@ -226,9 +233,9 @@ def canonical_decode(blob: bytes) -> tuple[np.ndarray, int, str, int]:
     round_no = reader.uint(4)
     client_id = reader.prefixed(2).decode("utf-8")
     data_size = reader.uint(8)
-    raw = reader.take(8 * reader.uint(8))
+    values = read_param_values(reader)
     reader.close()
-    return np.frombuffer(raw, dtype=">f8").astype(np.float64), round_no, client_id, data_size
+    return values, round_no, client_id, data_size
 
 
 # --------------------------------------------------------------------------- #
@@ -508,6 +515,10 @@ def derive_nonce(client_id: str, round_no: int) -> bytes:
     if not 0 <= round_no < 1 << 32:
         raise ValueError(f"round {round_no} out of u32 range")
     return sha256(client_id.encode("utf-8") + round_no.to_bytes(4, "big"))[:NONCE_LEN]
+
+
+# seeds stay below this so that derive_seed can frame them (16 signed bytes)
+SEED_LIMIT = 1 << 127
 
 
 def derive_seed(*parts: int | str) -> int:

@@ -179,6 +179,8 @@ def load_idx(images_path: str, labels_path: str, subset: int, seed: int) -> Data
     count = _read_be32(img_blob, 4)
     rows = _read_be32(img_blob, 8)
     cols = _read_be32(img_blob, 12)
+    if rows == 0 or cols == 0:
+        raise ValueError(f"images hold no pixels ({rows}x{cols})")
     if len(img_blob) != 16 + count * rows * cols:
         raise ValueError("images payload length mismatch")
 

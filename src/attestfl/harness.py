@@ -27,7 +27,6 @@ __all__ = [
     "ConfigError",
     "ModelSpec",
     "DataSpec",
-    "TrainSpec",
     "CryptoSpec",
     "ExperimentConfig",
     "parse_config",
@@ -92,22 +91,6 @@ class DataSpec:
 
 
 @dataclass(frozen=True)
-class TrainSpec:
-    learning_rate: float = 0.1
-    epochs: int = 5
-    batch_size: int | str = models.FULL_BATCH
-
-    def __post_init__(self) -> None:
-        # mirror TrainingConfig's constraints so errors surface at parse time
-        TrainingConfig(
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            seed=0,
-        )
-
-
-@dataclass(frozen=True)
 class CryptoSpec:
     key_bits: int = 2048
 
@@ -125,7 +108,7 @@ class ExperimentConfig:
     encrypt: bool = False
     model: ModelSpec = field(default_factory=ModelSpec)
     data: DataSpec = field(default_factory=DataSpec)
-    train: TrainSpec = field(default_factory=TrainSpec)
+    train: TrainingConfig = field(default_factory=TrainingConfig)
     crypto: CryptoSpec = field(default_factory=CryptoSpec)
     attack: AttackConfig = field(default_factory=AttackConfig)
 
@@ -134,8 +117,10 @@ class ExperimentConfig:
             raise ConfigError("rounds must be positive")
         if self.clients < 1:
             raise ConfigError("clients must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        if not 0 <= self.seed < crypto.SEED_LIMIT:
+            raise ConfigError("seed must lie in [0, 2**127)")
+        # training draws from the one top-level seed
+        object.__setattr__(self, "train", replace(self.train, seed=self.seed))
 
 
 # --------------------------------------------------------------------------- #
@@ -229,7 +214,7 @@ def parse_entries(entries: dict[str, str]) -> ExperimentConfig:
             **{key: value for key, value in values.items() if "." not in key},
             model=pick("model", ModelSpec),
             data=pick("data", DataSpec),
-            train=pick("train", TrainSpec, lr="learning_rate", batch="batch_size", epochs="epochs"),
+            train=pick("train", TrainingConfig, lr="learning_rate", batch="batch_size"),
             crypto=pick("crypto", CryptoSpec),
             attack=pick("attack", AttackConfig),
         )
@@ -343,12 +328,6 @@ def build_simulation(config: ExperimentConfig) -> Simulation:
     num_features = shards[0].num_features
     num_classes = shards[0].num_classes
     architecture = _architecture(config, num_features, num_classes)
-    train_cfg = TrainingConfig(
-        learning_rate=config.train.learning_rate,
-        epochs=config.train.epochs,
-        batch_size=config.train.batch_size,
-        seed=config.seed,
-    )
 
     attack = config.attack
     client_ids = [f"client-{i}" for i in range(config.clients)]
@@ -377,7 +356,7 @@ def build_simulation(config: ExperimentConfig) -> Simulation:
             cid,
             shard,
             architecture,
-            train_cfg,
+            config.train,
             key_seed=crypto.derive_seed(config.seed, "client-key", i),
             key_bits=config.crypto.key_bits,
             encrypt=config.encrypt,
@@ -397,7 +376,7 @@ def build_simulation(config: ExperimentConfig) -> Simulation:
         sybils = adversary.spawn_sybils(
             count,
             architecture,
-            train_cfg,
+            config.train,
             num_features=num_features,
             num_classes=num_classes,
             separation=config.data.separation,

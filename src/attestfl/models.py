@@ -41,7 +41,7 @@ class TrainingError(RuntimeError):
 @dataclass(frozen=True)
 class TrainingConfig:
     learning_rate: float = 0.1
-    epochs: int = 1
+    epochs: int = 5
     batch_size: int | str = FULL_BATCH
     seed: int = 0
 

@@ -168,11 +168,7 @@ class SignedUpdate:
         flag = reader.take(1)
         update: Union[ParameterVector, crypto.CipherEnvelope]
         if flag == _FLAG_PLAINTEXT:
-            count = reader.uint(8)
-            if count != layout.size:
-                raise ValueError(f"expected {layout.size} parameters, got {count}")
-            values = np.frombuffer(reader.take(8 * count), dtype=">f8").astype(np.float64)
-            update = ParameterVector(values=values, layout=layout)
+            update = ParameterVector(values=crypto.read_param_values(reader), layout=layout)
         elif flag == _FLAG_SEALED:
             update = crypto.CipherEnvelope(
                 nonce=reader.take(crypto.NONCE_LEN),
@@ -421,8 +417,8 @@ def server_verify(
     """Check one message; returns the reason and, if it is ok, the opened update.
 
     Check order is fixed: unseal, identity, digest, signature, freshness,
-    attestation against DEFAULT_CLIENT_GRAPH.  The first failure decides the
-    reason.
+    attestation against DEFAULT_CLIENT_GRAPH for the claimed sender and
+    round.  The first failure decides the reason.
     """
     public = registry.get(msg.client_id)
     update, blob = msg.update, None
@@ -448,13 +444,7 @@ def server_verify(
     if msg.round != current_round or (msg.client_id, msg.round) in accepted_pairs:
         return REASON_REPLAYED_ROUND, None
 
-    report = msg.attestation
-    for log_entry in report.log.entries:
-        cp = log_entry.checkpoint
-        if cp.actor != msg.client_id or cp.round != msg.round:
-            # trace lifted from another actor or round
-            return REASON_CFA_HALT, None
-    if not verify_trace(DEFAULT_CLIENT_GRAPH, report, public).ok:
+    if not verify_trace(DEFAULT_CLIENT_GRAPH, msg.attestation, public, msg.client_id, msg.round).ok:
         return REASON_CFA_HALT, None
 
     return REASON_OK, update
@@ -685,7 +675,7 @@ def run_round(
     slog = _checkpoint(slog, CheckpointLabel.ROUND_END, SERVER_ID, round_no)
 
     server_report = finalize_report(slog, server.sig_pair.private)
-    self_check = verify_trace(DEFAULT_SERVER_GRAPH, server_report, server.sig_pair.public)
+    self_check = verify_trace(DEFAULT_SERVER_GRAPH, server_report, server.sig_pair.public, SERVER_ID, round_no)
     if not self_check.ok:
         raise ProtocolError(
             f"server trace failed self-verification at entry {self_check.index}: {self_check.reason}"

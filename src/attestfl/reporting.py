@@ -149,7 +149,8 @@ class MetricsTable:
     def total_incidents(self) -> int:
         return sum(r.non_repudiation_incidents for r in self.reports)
 
-    def _mean_rate(self, attr: str) -> Optional[float]:
+    def mean_rate(self, attr: str) -> Optional[float]:
+        """Mean of one rate attribute over the rounds that define it, else None."""
         values = [getattr(r, attr) for r in self.reports if getattr(r, attr) is not None]
         return sum(values) / len(values) if values else None
 
@@ -185,8 +186,8 @@ def emit_csv(table: MetricsTable, path: str) -> None:
             [
                 "summary",
                 table.client_count,
-                _fmt_rate(table._mean_rate("verification_rate")),
-                _fmt_rate(table._mean_rate("authentication_rate")),
+                _fmt_rate(table.mean_rate("verification_rate")),
+                _fmt_rate(table.mean_rate("authentication_rate")),
                 table.total_incidents,
                 repr(table.final_accuracy),
                 round(sum(r.duration_s for r in table.reports) * 1000),

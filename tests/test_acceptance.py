@@ -415,13 +415,13 @@ def _mutate(report, rng):
 def test_c10_all_single_mutations_halt():
     pair = crypto.keygen_signature(key_bits=1024, seed=1010)
     report = _honest_trace(pair)
-    honest_ok = verify_trace(DEFAULT_CLIENT_GRAPH, report, pair.public).ok
+    honest_ok = verify_trace(DEFAULT_CLIENT_GRAPH, report, pair.public, "client-0", 0).ok
 
     rng = np.random.default_rng(10)
     halts = 0
     for _ in range(1000):
         mutated = _mutate(report, rng)
-        outcome = verify_trace(DEFAULT_CLIENT_GRAPH, mutated, pair.public)
+        outcome = verify_trace(DEFAULT_CLIENT_GRAPH, mutated, pair.public, "client-0", 0)
         if not outcome.ok:
             halts += 1
     ok = honest_ok and halts == 1000

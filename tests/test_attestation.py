@@ -96,7 +96,7 @@ def test_server_graph_allows_repeated_receives():
             CheckpointLabel.ROUND_END,
         ]
         report = finalize_report(build_log(labels, actor="server", round_no=2), KEYS.private)
-        assert verify_trace(g, report, KEYS.public).ok, receives
+        assert verify_trace(g, report, KEYS.public, "server", 2).ok, receives
 
 
 # --------------------------------------------------------------------------- #
@@ -196,26 +196,26 @@ def test_graph_rejects_unreachable_end():
 
 def test_legal_client_trace_verifies():
     report = build_report(CLIENT_PATH)
-    assert verify_trace(DEFAULT_CLIENT_GRAPH, report, KEYS.public).ok
+    assert verify_trace(DEFAULT_CLIENT_GRAPH, report, KEYS.public, "client-00", 0).ok
 
 
 def test_missing_step_halts_with_illegal_transition():
     labels = [l for l in CLIENT_PATH if l != CheckpointLabel.UPDATE_SIGNED]
-    verdict = verify_trace(DEFAULT_CLIENT_GRAPH, build_report(labels), KEYS.public)
+    verdict = verify_trace(DEFAULT_CLIENT_GRAPH, build_report(labels), KEYS.public, "client-00", 0)
     assert not verdict.ok
     assert verdict.reason == ILLEGAL_TRANSITION
     assert verdict.index == labels.index(CheckpointLabel.UPDATE_SENT)
 
 
 def test_truncated_trace_halts_with_wrong_endpoints():
-    verdict = verify_trace(DEFAULT_CLIENT_GRAPH, build_report(CLIENT_PATH[:4]), KEYS.public)
+    verdict = verify_trace(DEFAULT_CLIENT_GRAPH, build_report(CLIENT_PATH[:4]), KEYS.public, "client-00", 0)
     assert not verdict.ok
     assert verdict.reason == WRONG_ENDPOINTS
 
 
 def test_wrong_signer_halts_with_bad_signature():
     report = build_report(CLIENT_PATH, keys=KEYS)
-    verdict = verify_trace(DEFAULT_CLIENT_GRAPH, report, OTHER_KEYS.public)
+    verdict = verify_trace(DEFAULT_CLIENT_GRAPH, report, OTHER_KEYS.public, "client-00", 0)
     assert not verdict.ok
     assert verdict.reason == BAD_SIGNATURE
     assert verdict.index == len(CLIENT_PATH)
@@ -233,7 +233,7 @@ def test_tampered_chain_halts_with_chain_tamper():
         final_digest=report.final_digest,
         signature=report.signature,
     )
-    verdict = verify_trace(DEFAULT_CLIENT_GRAPH, forged, KEYS.public)
+    verdict = verify_trace(DEFAULT_CLIENT_GRAPH, forged, KEYS.public, "client-00", 0)
     assert not verdict.ok
     assert verdict.reason == CHAIN_TAMPER
     assert verdict.index == 2
@@ -241,23 +241,39 @@ def test_tampered_chain_halts_with_chain_tamper():
 
 def test_empty_signed_log_halts_with_wrong_endpoints():
     report = finalize_report(CheckpointLog(), KEYS.private)
-    verdict = verify_trace(DEFAULT_CLIENT_GRAPH, report, KEYS.public)
+    verdict = verify_trace(DEFAULT_CLIENT_GRAPH, report, KEYS.public, "client-00", 0)
     assert not verdict.ok
     assert verdict.reason == WRONG_ENDPOINTS
 
 
 def test_wrong_start_label_halts_at_index_zero():
-    verdict = verify_trace(DEFAULT_CLIENT_GRAPH, build_report(CLIENT_PATH[1:]), KEYS.public)
+    verdict = verify_trace(DEFAULT_CLIENT_GRAPH, build_report(CLIENT_PATH[1:]), KEYS.public, "client-00", 0)
     assert not verdict.ok
     assert verdict.index == 0
     assert verdict.reason == ILLEGAL_TRANSITION
+
+
+def test_signed_trace_of_another_actor_or_round_halts():
+    # chained and signed by the right key, but not the claimed sender's run
+    # for the claimed round
+    mixed = build_log(CLIENT_PATH[:3])
+    for label in CLIENT_PATH[3:]:
+        mixed = record_checkpoint(mixed, Checkpoint(label, "client-00", 1))
+    cases = [
+        (build_report(CLIENT_PATH, actor="client-01"), 0),
+        (build_report(CLIENT_PATH, round_no=1), 0),
+        (finalize_report(mixed, KEYS.private), 3),
+    ]
+    for report, index in cases:
+        verdict = verify_trace(DEFAULT_CLIENT_GRAPH, report, KEYS.public, "client-00", 0)
+        assert (verdict.index, verdict.reason) == (index, ILLEGAL_TRANSITION)
 
 
 def test_report_serialization_round_trip():
     report = build_report(CLIENT_PATH)
     restored = AttestationReport.from_bytes(report.to_bytes())
     assert restored == report
-    assert verify_trace(DEFAULT_CLIENT_GRAPH, restored, KEYS.public).ok
+    assert verify_trace(DEFAULT_CLIENT_GRAPH, restored, KEYS.public, "client-00", 0).ok
 
 
 def test_report_serialization_rejects_trailing_bytes():
@@ -318,6 +334,6 @@ def test_any_single_mutation_halts(kind, i, j, round_no, recompute):
         forged = AttestationReport(
             log=log, final_digest=base.final_digest, signature=base.signature
         )
-    verdict = verify_trace(DEFAULT_CLIENT_GRAPH, forged, KEYS.public)
+    verdict = verify_trace(DEFAULT_CLIENT_GRAPH, forged, KEYS.public, "client-00", 0)
     assert not verdict.ok
     assert verdict.reason in (CHAIN_TAMPER, BAD_SIGNATURE, ILLEGAL_TRANSITION, WRONG_ENDPOINTS)

@@ -106,6 +106,8 @@ def test_attack_seed_inherits_main_seed():
         ("data.source = idx", "idx_images"),
         ("data.separation = nan", "data.separation must be finite"),
         ("data.separation = inf", "data.separation must be finite"),
+        (f"seed = {2**127}\nattack.seed = 0", "seed must lie in [0, 2**127)"),
+        (f"attack.seed = {2**127}", "seed must lie in [0, 2**127)"),
     ],
 )
 def test_config_errors_carry_context(text, fragment):
@@ -440,12 +442,32 @@ def test_cli_rejects_missing_config_file(capsys):
     assert "cannot read config" in captured.err
 
 
+def test_cli_rejects_config_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "binary.conf"
+    path.write_bytes(b"\xff\xfe")
+    code = cli.main(["--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("attestfl: cannot read config: ")
+
+
 @pytest.mark.parametrize(
     "case, fragment",
-    [("missing", "No such file"), ("corrupt", "bad images magic"), ("too-small", "too small")],
+    [
+        ("missing", "No such file"),
+        ("corrupt", "bad images magic"),
+        ("too-small", "too small"),
+        ("no-pixels", "no pixels"),
+    ],
 )
 def test_cli_bad_data_files_are_config_errors(tmp_path, capsys, case, fragment):
-    images, labels = write_idx(tmp_path, count=6, img_magic=0x802 if case == "corrupt" else 0x803)
+    images, labels = write_idx(
+        tmp_path,
+        count=6,
+        rows=0 if case == "no-pixels" else 2,
+        cols=5 if case == "no-pixels" else 2,
+        img_magic=0x802 if case == "corrupt" else 0x803,
+    )
     if case == "missing":
         images = str(tmp_path / "absent.idx")
     subset = "3" if case == "too-small" else "6"

@@ -367,6 +367,17 @@ def test_verify_rejects_trace_borrowed_from_other_actor():
     assert reason == reporting.REASON_CFA_HALT
 
 
+def test_verify_rejects_own_trace_from_another_round():
+    from dataclasses import replace as dc_replace
+
+    server, clients = make_world()
+    earlier = honest_message(clients[0], server, round_no=0)
+    msg = honest_message(clients[0], server, round_no=1)
+    # the sender's own signed trace, but of the round before
+    reason, _ = verify_with(server, dc_replace(msg, attestation=earlier.attestation), round_no=1)
+    assert reason == reporting.REASON_CFA_HALT
+
+
 def test_verify_rejects_truncated_trace():
     from dataclasses import replace as dc_replace
 
@@ -587,9 +598,9 @@ def test_empty_round_self_verifies_server_trace(monkeypatch):
     server, _ = make_world()
     checks = []
 
-    def spy(graph, report, public):
-        verdict = verify_trace(graph, report, public)
-        checks.append((graph, [e.checkpoint.label for e in report.log.entries], public, verdict.ok))
+    def spy(graph, report, public, actor, round_no):
+        verdict = verify_trace(graph, report, public, actor, round_no)
+        checks.append((graph, [e.checkpoint.label for e in report.log.entries], public, actor, round_no, verdict.ok))
         return verdict
 
     monkeypatch.setattr(protocol, "verify_trace", spy)
@@ -601,7 +612,7 @@ def test_empty_round_self_verifies_server_trace(monkeypatch):
         CheckpointLabel.GLOBAL_APPLIED,
         CheckpointLabel.ROUND_END,
     ]
-    assert checks == [(DEFAULT_SERVER_GRAPH, labels, server.sig_pair.public, True)]
+    assert checks == [(DEFAULT_SERVER_GRAPH, labels, server.sig_pair.public, protocol.SERVER_ID, 0, True)]
 
 
 def test_encrypted_round_matches_plaintext_round_accuracy():
