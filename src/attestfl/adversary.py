@@ -171,7 +171,6 @@ def spawn_sybils(
     separation: float,
     seed: int,
     key_bits: int = 2048,
-    dh_params: crypto.DhParams = crypto.MODP_2048,
 ) -> list[ClientActor]:
     """Fabricated actors with their own keys, data, and legal-looking traces.
 
@@ -198,7 +197,6 @@ def spawn_sybils(
                 train_cfg,
                 key_seed=crypto.derive_seed("sybil-key", seed, i),
                 key_bits=key_bits,
-                dh_params=dh_params,
             )
         )
     return actors

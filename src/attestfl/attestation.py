@@ -1,10 +1,13 @@
-"""Control-flow attestation: checkpoints, hash-chained logs, signed reports.
+"""Control-flow attestation: checkpoints, hash-chained traces recorded in
+place, signed reports.
 
 Actors emit checkpoints as they move through a round.  Each checkpoint is
-folded into a hash chain, the chain head is signed, and a verifier replays
-the chain, checks the signature, and walks the checkpoints against an
-expected control-flow graph and the one actor and round they must name.  Any single change to a recorded trace, or any
-execution that strays from the graph, verifiably fails.
+appended to a trace, a plain list whose entries carry the running chain
+head; the head is signed, and a verifier replays the chain, checks the
+signature, and walks the checkpoints against an expected control-flow graph
+and the one actor and round they must name.  Any single change to a
+recorded trace, or any execution that strays from the graph, verifiably
+fails.
 
 Chain rule: digest[k] = hash(digest[k-1] + encode(checkpoint[k])), seeded
 with digest[-1] = hash(b"").
@@ -22,12 +25,11 @@ __all__ = [
     "CheckpointLabel",
     "Checkpoint",
     "ControlFlowGraph",
-    "CheckpointLog",
+    "LogEntry",
     "AttestationReport",
     "TraceVerdict",
     "cfa_check",
     "record_checkpoint",
-    "verify_chain",
     "finalize_report",
     "verify_trace",
     "DEFAULT_CLIENT_GRAPH",
@@ -100,19 +102,14 @@ class Checkpoint:
 
 @dataclass(frozen=True)
 class ControlFlowGraph:
-    """Directed label graph with designated start and end labels."""
+    """Directed label graph with designated start and end labels; its
+    edges are its only declaration of which labels exist."""
 
-    nodes: frozenset[CheckpointLabel]
     edges: frozenset[tuple[CheckpointLabel, CheckpointLabel]]
     start: CheckpointLabel
     end: CheckpointLabel
 
     def __post_init__(self) -> None:
-        for src, dst in self.edges:
-            if src not in self.nodes or dst not in self.nodes:
-                raise ValueError(f"edge ({src.value}, {dst.value}) leaves the node set")
-        if self.start not in self.nodes or self.end not in self.nodes:
-            raise ValueError("start and end must be nodes")
         # the end label must be reachable from the start
         frontier = {self.start}
         seen = set(frontier)
@@ -139,7 +136,6 @@ _CLIENT_PATH = (
 )
 
 DEFAULT_CLIENT_GRAPH = ControlFlowGraph(
-    nodes=frozenset(_CLIENT_PATH),
     edges=_chain(_CLIENT_PATH),
     start=CheckpointLabel.ROUND_START,
     end=CheckpointLabel.ROUND_END,
@@ -155,7 +151,6 @@ _SERVER_PATH = (
 )
 
 DEFAULT_SERVER_GRAPH = ControlFlowGraph(
-    nodes=frozenset(_SERVER_PATH),
     # the receive label loops, or is skipped, so one round can take any
     # number of messages, none included
     edges=_chain(_SERVER_PATH)
@@ -184,7 +179,7 @@ def cfa_check(
 
 
 # --------------------------------------------------------------------------- #
-# hash-chained log
+# hash-chained traces and signed reports
 # --------------------------------------------------------------------------- #
 
 
@@ -194,56 +189,29 @@ class LogEntry:
     chain_digest: bytes
 
 
-@dataclass(frozen=True)
-class CheckpointLog:
-    """Append-only checkpoint sequence; each entry stores the chain head."""
-
-    entries: tuple[LogEntry, ...] = ()
-
-    @property
-    def final_digest(self) -> bytes:
-        return self.entries[-1].chain_digest if self.entries else GENESIS
+def _head(entries: Sequence[LogEntry]) -> bytes:
+    return entries[-1].chain_digest if entries else GENESIS
 
 
-def record_checkpoint(log: CheckpointLog, checkpoint: Checkpoint) -> CheckpointLog:
-    """Return a new log with `checkpoint` appended.
-
-    The entries tuple is copied, so each append costs O(len(log)).
-    """
-    digest = crypto.sha256(log.final_digest + checkpoint.encode())
-    return CheckpointLog(entries=log.entries + (LogEntry(checkpoint, digest),))
-
-
-def verify_chain(log: CheckpointLog) -> Optional[int]:
-    """Recompute the chain; None if intact, else the first bad entry index."""
-    digest = GENESIS
-    for index, entry in enumerate(log.entries):
-        digest = crypto.sha256(digest + entry.checkpoint.encode())
-        if digest != entry.chain_digest:
-            return index
-    return None
-
-
-# --------------------------------------------------------------------------- #
-# signed reports
-# --------------------------------------------------------------------------- #
+def record_checkpoint(trace: list[LogEntry], checkpoint: Checkpoint) -> None:
+    """Append `checkpoint` to `trace` in place, chained onto its head."""
+    trace.append(LogEntry(checkpoint, crypto.sha256(_head(trace) + checkpoint.encode())))
 
 
 @dataclass(frozen=True)
 class AttestationReport:
-    """A checkpoint log, its final chain digest, and a signature over it."""
+    """Trace entries, the final chain digest, and a signature over it."""
 
-    log: CheckpointLog
+    entries: tuple[LogEntry, ...]
     final_digest: bytes
     signature: bytes
 
     def to_bytes(self) -> bytes:
         """Version 0x01, entry count as u32, each checkpoint with its chain
         digest, the final digest, then the u32-prefixed signature."""
-        entries = self.log.entries
         return b"".join(
-            [_REPORT_VERSION, len(entries).to_bytes(4, "big")]
-            + [entry.checkpoint.encode() + entry.chain_digest for entry in entries]
+            [_REPORT_VERSION, len(self.entries).to_bytes(4, "big")]
+            + [entry.checkpoint.encode() + entry.chain_digest for entry in self.entries]
             + [self.final_digest, crypto.prefixed(self.signature, 4)]
         )
 
@@ -258,13 +226,14 @@ class AttestationReport:
         final = reader.take(crypto.DIGEST_LEN)
         signature = reader.prefixed(4)
         reader.close()
-        return cls(log=CheckpointLog(entries=entries), final_digest=final, signature=signature)
+        return cls(entries=entries, final_digest=final, signature=signature)
 
 
-def finalize_report(log: CheckpointLog, private: crypto.RsaPrivateKey) -> AttestationReport:
-    """Sign the chain head, binding the whole recorded trace."""
-    final = log.final_digest
-    return AttestationReport(log=log, final_digest=final, signature=crypto.sign(final, private))
+def finalize_report(trace: Sequence[LogEntry], private: crypto.RsaPrivateKey) -> AttestationReport:
+    """Sign the chain head, binding the whole recorded trace.  The report
+    keeps a snapshot, so later appends to `trace` do not change it."""
+    final = _head(trace)
+    return AttestationReport(entries=tuple(trace), final_digest=final, signature=crypto.sign(final, private))
 
 
 @dataclass(frozen=True)
@@ -295,12 +264,14 @@ def verify_trace(
     verdict, or the index and reason of the first failing entry.  The
     signature check uses index len(entries), one past the last.
     """
-    entries = report.log.entries
+    entries = report.entries
 
-    bad = verify_chain(report.log)
-    if bad is not None:
-        return TraceVerdict(bad, CHAIN_TAMPER)
-    if report.final_digest != report.log.final_digest:
+    digest = GENESIS
+    for index, entry in enumerate(entries):
+        digest = crypto.sha256(digest + entry.checkpoint.encode())
+        if digest != entry.chain_digest:
+            return TraceVerdict(index, CHAIN_TAMPER)
+    if report.final_digest != digest:
         return TraceVerdict(max(len(entries) - 1, 0), CHAIN_TAMPER)
 
     if not crypto.verify(report.final_digest, report.signature, public):

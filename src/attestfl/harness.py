@@ -1,6 +1,7 @@
 """Experiment assembly: config parsing, seeded builds, multi-round runs.
 
-Config files are flat `key = value` lines with `#` comments.  Keys are
+Config files are flat `key = value` lines; a `#` at the start of a line or
+after whitespace starts a comment, so values may contain `#`.  Keys are
 dotted paths (`train.lr`, `attack.kind`); every key has a default, unknown
 or repeated keys are rejected with their line number.  The same dotted
 keys double as CLI override names, so one parser serves both.
@@ -13,6 +14,7 @@ the same config produce identical tables except for wall-clock durations.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -208,6 +210,10 @@ def parse_entries(entries: dict[str, str]) -> ExperimentConfig:
             kwargs[renames.get(name, name)] = value
         return cls(**kwargs)
 
+    if values.get("data.source", SOURCE_SYNTHETIC) == SOURCE_SYNTHETIC:
+        stray = [key for key in ("data.idx_images", "data.idx_labels", "data.subset") if key in values]
+        if stray:
+            raise ConfigError(f"{', '.join(stray)} need data.source = idx")
     values.setdefault("attack.seed", values.get("seed", ExperimentConfig.seed))
     try:
         return ExperimentConfig(
@@ -226,11 +232,14 @@ def parse_entries(entries: dict[str, str]) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
+_COMMENT = re.compile(r"(^|\s)#.*")
+
+
 def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> ExperimentConfig:
     """Parse `key = value` lines; later CLI overrides win over file values."""
     entries: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _COMMENT.sub("", line).strip()
         if not stripped:
             continue
         if "=" not in stripped:

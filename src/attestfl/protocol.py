@@ -33,9 +33,9 @@ from .attestation import (
     AttestationReport,
     Checkpoint,
     CheckpointLabel,
-    CheckpointLog,
     DEFAULT_CLIENT_GRAPH,
     DEFAULT_SERVER_GRAPH,
+    LogEntry,
     finalize_report,
     record_checkpoint,
     verify_trace,
@@ -297,7 +297,7 @@ class ClientActor:
     encrypt: bool = False
     session_key: Optional[bytes] = None
     compromise: Optional[Callable[[ParameterVector, int], ParameterVector]] = None
-    last_log: Optional[CheckpointLog] = None
+    last_log: Optional[list[LogEntry]] = None
 
     @classmethod
     def create(
@@ -309,11 +309,10 @@ class ClientActor:
         *,
         key_seed: int,
         key_bits: int = 2048,
-        dh_params: crypto.DhParams = crypto.MODP_2048,
         encrypt: bool = False,
     ) -> "ClientActor":
         sig_pair = crypto.keygen_signature(key_bits=key_bits, seed=key_seed)
-        dh_private, dh_public = crypto.dh_keygen(dh_params, seed=crypto.derive_seed(client_id, "dh", key_seed))
+        dh_private, dh_public = crypto.dh_keygen(crypto.MODP_2048, seed=crypto.derive_seed(client_id, "dh", key_seed))
         return cls(
             client_id=client_id,
             data=data,
@@ -326,8 +325,8 @@ class ClientActor:
         )
 
 
-def _checkpoint(log: CheckpointLog, label: CheckpointLabel, actor: str, round_no: int) -> CheckpointLog:
-    return record_checkpoint(log, Checkpoint(label=label, actor=actor, round=round_no))
+def _checkpoint(trace: list[LogEntry], label: CheckpointLabel, actor: str, round_no: int) -> None:
+    record_checkpoint(trace, Checkpoint(label=label, actor=actor, round=round_no))
 
 
 def client_round(
@@ -337,35 +336,33 @@ def client_round(
 ) -> Optional[SignedUpdate]:
     """Run one local round; None means the client dropped out mid-round.
 
-    On dropout the partial checkpoint log is kept on `client.last_log`,
-    where its missing endpoint makes the incomplete execution provable.
+    The round's trace is recorded in place on `client.last_log`; on dropout
+    its missing endpoint makes the incomplete execution provable.
     """
     cid = client.client_id
-    log = CheckpointLog()
-    log = _checkpoint(log, CheckpointLabel.ROUND_START, cid, round_no)
+    log = client.last_log = []
+    _checkpoint(log, CheckpointLabel.ROUND_START, cid, round_no)
 
     model = client.architecture.with_params(global_params)
     cfg = replace(client.train_cfg, seed=crypto.derive_seed(cid, "train", client.train_cfg.seed, round_no))
 
-    log = _checkpoint(log, CheckpointLabel.TRAIN_BEGIN, cid, round_no)
+    _checkpoint(log, CheckpointLabel.TRAIN_BEGIN, cid, round_no)
     try:
         _, update = models.local_train(model, client.data, cfg)
-        log = _checkpoint(log, CheckpointLabel.TRAIN_END, cid, round_no)
+        _checkpoint(log, CheckpointLabel.TRAIN_END, cid, round_no)
         if client.compromise is not None:
             # the rewrite runs as a second training phase; a trusted logger
             # records the re-entry, which no legal client graph allows
-            log = _checkpoint(log, CheckpointLabel.TRAIN_BEGIN, cid, round_no)
+            _checkpoint(log, CheckpointLabel.TRAIN_BEGIN, cid, round_no)
             update = client.compromise(update, round_no)
-            log = _checkpoint(log, CheckpointLabel.TRAIN_END, cid, round_no)
+            _checkpoint(log, CheckpointLabel.TRAIN_END, cid, round_no)
     except TrainingError:
-        client.last_log = log
         return None
 
-    log = _checkpoint(log, CheckpointLabel.UPDATE_HASHED, cid, round_no)
-    log = _checkpoint(log, CheckpointLabel.UPDATE_SIGNED, cid, round_no)
-    log = _checkpoint(log, CheckpointLabel.UPDATE_SENT, cid, round_no)
-    log = _checkpoint(log, CheckpointLabel.ROUND_END, cid, round_no)
-    client.last_log = log
+    _checkpoint(log, CheckpointLabel.UPDATE_HASHED, cid, round_no)
+    _checkpoint(log, CheckpointLabel.UPDATE_SIGNED, cid, round_no)
+    _checkpoint(log, CheckpointLabel.UPDATE_SENT, cid, round_no)
+    _checkpoint(log, CheckpointLabel.ROUND_END, cid, round_no)
 
     report = finalize_report(log, client.sig_pair.private)
     session_key = client.session_key if client.encrypt else None
@@ -498,7 +495,6 @@ class Server:
     sig_pair: crypto.SignatureKeyPair
     dh_private: int
     dh_public: int
-    dh_params: crypto.DhParams = crypto.MODP_2048
     security: bool = True
     registry: dict[str, crypto.RsaPublicKey] = field(default_factory=dict)
     session_keys: dict[str, bytes] = field(default_factory=dict)
@@ -510,11 +506,10 @@ class Server:
         *,
         key_seed: int,
         key_bits: int = 2048,
-        dh_params: crypto.DhParams = crypto.MODP_2048,
         security: bool = True,
     ) -> "Server":
         sig_pair = crypto.keygen_signature(key_bits=key_bits, seed=key_seed)
-        dh_private, dh_public = crypto.dh_keygen(dh_params, seed=crypto.derive_seed(SERVER_ID, "dh", key_seed))
+        dh_private, dh_public = crypto.dh_keygen(crypto.MODP_2048, seed=crypto.derive_seed(SERVER_ID, "dh", key_seed))
         state = GlobalModelState(round=0, params=architecture.params)
         return cls(
             architecture=architecture,
@@ -522,7 +517,6 @@ class Server:
             sig_pair=sig_pair,
             dh_private=dh_private,
             dh_public=dh_public,
-            dh_params=dh_params,
             security=security,
         )
 
@@ -537,8 +531,8 @@ class Server:
             raise ValueError("client id must be non-empty")
         if cid in self.registry:
             raise DuplicateClientError(f"client {cid!r} already registered")
-        shared_at_server = crypto.dh_shared(self.dh_private, client.dh_public, self.dh_params)
-        shared_at_client = crypto.dh_shared(client.dh_private, self.dh_public, self.dh_params)
+        shared_at_server = crypto.dh_shared(self.dh_private, client.dh_public, crypto.MODP_2048)
+        shared_at_client = crypto.dh_shared(client.dh_private, self.dh_public, crypto.MODP_2048)
         self.registry[cid] = client.sig_pair.public
         self.session_keys[cid] = crypto.kdf(shared_at_server)
         client.session_key = crypto.kdf(shared_at_client)
@@ -640,8 +634,8 @@ def run_round(
     started = time.perf_counter()
     round_no = server.state.round
 
-    slog = CheckpointLog()
-    slog = _checkpoint(slog, CheckpointLabel.ROUND_START, SERVER_ID, round_no)
+    slog: list[LogEntry] = []
+    _checkpoint(slog, CheckpointLabel.ROUND_START, SERVER_ID, round_no)
 
     deliveries: list[Delivery] = []
     for client in sorted(clients, key=lambda c: c.client_id):
@@ -658,21 +652,21 @@ def run_round(
     accepted: list[tuple[str, int, ParameterVector]] = []
     fresh: set[tuple[str, int]] = set()
     for delivery in deliveries:
-        slog = _checkpoint(slog, CheckpointLabel.SERVER_RECEIVED, SERVER_ID, round_no)
+        _checkpoint(slog, CheckpointLabel.SERVER_RECEIVED, SERVER_ID, round_no)
         outcome, item = _ingest(server, delivery, round_no, fresh)
         outcomes.append(outcome)
         if item is not None:
             accepted.append(item)
 
-    slog = _checkpoint(slog, CheckpointLabel.SERVER_VERIFIED, SERVER_ID, round_no)
+    _checkpoint(slog, CheckpointLabel.SERVER_VERIFIED, SERVER_ID, round_no)
     delta = aggregate(accepted)
-    slog = _checkpoint(slog, CheckpointLabel.AGGREGATED, SERVER_ID, round_no)
+    _checkpoint(slog, CheckpointLabel.AGGREGATED, SERVER_ID, round_no)
     if delta is not None:
         new_state = apply_global(server.state, delta)
     else:
         new_state = advance_round(server.state)
-    slog = _checkpoint(slog, CheckpointLabel.GLOBAL_APPLIED, SERVER_ID, round_no)
-    slog = _checkpoint(slog, CheckpointLabel.ROUND_END, SERVER_ID, round_no)
+    _checkpoint(slog, CheckpointLabel.GLOBAL_APPLIED, SERVER_ID, round_no)
+    _checkpoint(slog, CheckpointLabel.ROUND_END, SERVER_ID, round_no)
 
     server_report = finalize_report(slog, server.sig_pair.private)
     self_check = verify_trace(DEFAULT_SERVER_GRAPH, server_report, server.sig_pair.public, SERVER_ID, round_no)

@@ -18,7 +18,6 @@ from attestfl import adversary, crypto, datasets, harness, models, reporting
 from attestfl.attestation import (
     Checkpoint,
     CheckpointLabel,
-    CheckpointLog,
     DEFAULT_CLIENT_GRAPH,
     LogEntry,
     finalize_report,
@@ -97,11 +96,11 @@ def test_c03_every_single_bit_flip_is_rejected():
     shard = datasets.generate_synthetic(
         num_clients=1, per_client=30, num_features=9, num_classes=2, separation=6.0, seed=3
     )[0]
-    server = Server.create(arch, key_seed=7, key_bits=1024, dh_params=crypto.TOY_DH_GROUP)
+    server = Server.create(arch, key_seed=7, key_bits=1024)
     client = ClientActor.create(
         "client-0", shard, arch,
         TrainingConfig(learning_rate=0.1, epochs=1, batch_size="full", seed=0),
-        key_seed=100, key_bits=1024, dh_params=crypto.TOY_DH_GROUP,
+        key_seed=100, key_bits=1024,
     )
     server.register(client)
     blob = client_round(client, server.state.params, 0).to_wire_bytes()
@@ -344,7 +343,7 @@ def test_c09_crypto_spot_suite():
 
 
 def _honest_trace(pair):
-    log = CheckpointLog()
+    log = []
     for label in (
         CheckpointLabel.ROUND_START,
         CheckpointLabel.TRAIN_BEGIN,
@@ -354,21 +353,21 @@ def _honest_trace(pair):
         CheckpointLabel.UPDATE_SENT,
         CheckpointLabel.ROUND_END,
     ):
-        log = record_checkpoint(log, Checkpoint(label=label, actor="client-0", round=0))
+        record_checkpoint(log, Checkpoint(label=label, actor="client-0", round=0))
     return finalize_report(log, pair.private)
 
 
 def _rebuild_chain(checkpoints):
-    log = CheckpointLog()
+    log = []
     for cp in checkpoints:
-        log = record_checkpoint(log, cp)
+        record_checkpoint(log, cp)
     return log
 
 
 def _mutate(report, rng):
     """One guaranteed-effect corruption; half the structural ones also
     recompute the hash chain (an attacker without the signing key)."""
-    entries = list(report.log.entries)
+    entries = list(report.entries)
     kind = rng.integers(0, 6)
     if kind == 0:  # delete an entry
         i = int(rng.integers(0, len(entries)))
@@ -396,7 +395,7 @@ def _mutate(report, rng):
         i = int(rng.integers(0, len(entries)))
         digest = adversary.tamper_bytes(entries[i].chain_digest, int(rng.integers(0, 256)))
         entries[i] = LogEntry(entries[i].checkpoint, digest)
-        return dc_replace(report, log=CheckpointLog(entries=tuple(entries)))
+        return dc_replace(report, entries=tuple(entries))
     else:  # flip a bit in the signature
         sig = adversary.tamper_bytes(report.signature, int(rng.integers(0, 8 * len(report.signature))))
         return dc_replace(report, signature=sig)
@@ -405,11 +404,11 @@ def _mutate(report, rng):
         # stronger adversary: rebuild a consistent chain; the signature
         # over the old final digest is then the only thing left to catch it
         log = _rebuild_chain(checkpoints)
-        return dc_replace(report, log=log, final_digest=log.final_digest)
+        return dc_replace(report, entries=tuple(log), final_digest=log[-1].chain_digest)
     # naive adversary: stored digests kept, chain replay catches it
-    prior = {e.checkpoint: e.chain_digest for e in report.log.entries}
+    prior = {e.checkpoint: e.chain_digest for e in report.entries}
     fake_entries = tuple(LogEntry(cp, prior.get(cp, bytes(32))) for cp in checkpoints)
-    return dc_replace(report, log=CheckpointLog(entries=fake_entries))
+    return dc_replace(report, entries=fake_entries)
 
 
 def test_c10_all_single_mutations_halt():

@@ -195,7 +195,7 @@ def test_spawn_sybils_zero_is_empty():
 def test_spawn_sybils_have_distinct_identities_and_keys():
     sybils = spawn_sybils(
         3, ARCH, TRAIN_CFG, num_features=2, num_classes=2, separation=6.0, seed=1,
-        key_bits=1024, dh_params=crypto.TOY_DH_GROUP,
+        key_bits=1024,
     )
     assert [s.client_id for s in sybils] == ["sybil-0", "sybil-1", "sybil-2"]
     keys = {s.sig_pair.public.n for s in sybils}
@@ -212,7 +212,7 @@ def test_spawn_sybils_have_distinct_identities_and_keys():
 def make_honest_delivery(seed=500):
     client = ClientActor.create(
         "client-0", SHARD, ARCH, TRAIN_CFG,
-        key_seed=seed, key_bits=1024, dh_params=crypto.TOY_DH_GROUP,
+        key_seed=seed, key_bits=1024,
     )
     msg = client_round(client, ARCH.params, 0)
     return Delivery(payload=msg, source="client-0", honest=True)
@@ -253,7 +253,7 @@ def test_sybil_plan_appends_fakes():
     delivery = make_honest_delivery()
     sybils = spawn_sybils(
         2, ARCH, TRAIN_CFG, num_features=2, num_classes=2, separation=6.0, seed=1,
-        key_bits=1024, dh_params=crypto.TOY_DH_GROUP,
+        key_bits=1024,
     )
     plan = AttackPlan(kind="sybil", seed=1, sybils=sybils)
     out = plan.transform([delivery], 0, ARCH.params)

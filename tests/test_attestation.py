@@ -25,13 +25,11 @@ from attestfl.attestation import (
     AttestationReport,
     Checkpoint,
     CheckpointLabel,
-    CheckpointLog,
     ControlFlowGraph,
     LogEntry,
     cfa_check,
     finalize_report,
     record_checkpoint,
-    verify_chain,
     verify_trace,
 )
 
@@ -49,10 +47,10 @@ CLIENT_PATH = [
 ]
 
 
-def build_log(labels, actor="client-00", round_no=0) -> CheckpointLog:
-    log = CheckpointLog()
+def build_log(labels, actor="client-00", round_no=0) -> list[LogEntry]:
+    log = []
     for label in labels:
-        log = record_checkpoint(log, Checkpoint(label=label, actor=actor, round=round_no))
+        record_checkpoint(log, Checkpoint(label=label, actor=actor, round=round_no))
     return log
 
 
@@ -106,7 +104,8 @@ def test_server_graph_allows_repeated_receives():
 
 def test_chain_first_entry_matches_manual_hash():
     cp = Checkpoint(label=CheckpointLabel.ROUND_START, actor="client-00", round=0)
-    log = record_checkpoint(CheckpointLog(), cp)
+    log = []
+    assert record_checkpoint(log, cp) is None
     # label and actor are length-prefixed UTF-8, round is a u32
     encoded = (
         len(b"ROUND_START").to_bytes(2, "big")
@@ -117,8 +116,8 @@ def test_chain_first_entry_matches_manual_hash():
     )
     genesis = hashlib.sha256(b"").digest()
     expected = hashlib.sha256(genesis + encoded).digest()
-    assert log.entries[0].chain_digest == expected
-    assert log.final_digest == expected
+    assert log[0].chain_digest == expected
+    assert finalize_report(log, KEYS.private).final_digest == expected
 
 
 @pytest.mark.parametrize("actor", ["server", "client-00", ""])
@@ -135,26 +134,19 @@ def test_checkpoint_decode_is_total_on_prefixes(actor):
 
 def test_chain_links_consecutive_entries():
     log = build_log(CLIENT_PATH[:3])
-    d0 = log.entries[0].chain_digest
-    manual = hashlib.sha256(d0 + log.entries[1].checkpoint.encode()).digest()
-    assert log.entries[1].chain_digest == manual
+    d0 = log[0].chain_digest
+    manual = hashlib.sha256(d0 + log[1].checkpoint.encode()).digest()
+    assert log[1].chain_digest == manual
 
 
-def test_record_checkpoint_leaves_previous_log_untouched():
-    log1 = build_log(CLIENT_PATH[:2])
-    log2 = record_checkpoint(log1, Checkpoint(CheckpointLabel.TRAIN_END, "client-00", 0))
-    assert len(log1.entries) == 2
-    assert len(log2.entries) == 3
-    assert log2.entries[:2] == log1.entries
-
-
-def test_verify_chain_detects_mutated_entry():
+def test_report_keeps_its_entries_when_the_trace_grows():
     log = build_log(CLIENT_PATH)
-    entries = list(log.entries)
-    swapped = Checkpoint(CheckpointLabel.TRAIN_END, "client-00", 0)
-    entries[1] = LogEntry(swapped, entries[1].chain_digest)
-    assert verify_chain(CheckpointLog(entries=tuple(entries))) == 1
-    assert verify_chain(log) is None
+    report = finalize_report(log, KEYS.private)
+    record_checkpoint(log, Checkpoint(CheckpointLabel.ROUND_START, "client-00", 0))
+    assert len(log) == len(CLIENT_PATH) + 1
+    assert report.entries == tuple(log[:-1])
+    assert report.final_digest == log[-2].chain_digest
+    assert verify_trace(DEFAULT_CLIENT_GRAPH, report, KEYS.public, "client-00", 0).ok
 
 
 # --------------------------------------------------------------------------- #
@@ -166,7 +158,6 @@ START, TRAIN, END = CheckpointLabel.ROUND_START, CheckpointLabel.TRAIN_BEGIN, Ch
 
 def test_graph_edges_decide_cfa_check():
     g = ControlFlowGraph(
-        nodes=frozenset({START, TRAIN, END}),
         edges=frozenset({(START, TRAIN), (TRAIN, END)}),
         start=START,
         end=END,
@@ -175,18 +166,9 @@ def test_graph_edges_decide_cfa_check():
     assert cfa_check(g, START, END) is False
 
 
-def test_graph_rejects_edge_outside_nodes():
-    with pytest.raises(ValueError):
-        ControlFlowGraph(
-            nodes=frozenset({START, END}), edges=frozenset({(START, TRAIN)}), start=START, end=END
-        )
-
-
 def test_graph_rejects_unreachable_end():
     with pytest.raises(ValueError):
-        ControlFlowGraph(
-            nodes=frozenset({START, TRAIN, END}), edges=frozenset({(TRAIN, END)}), start=START, end=END
-        )
+        ControlFlowGraph(edges=frozenset({(TRAIN, END)}), start=START, end=END)
 
 
 # --------------------------------------------------------------------------- #
@@ -223,13 +205,13 @@ def test_wrong_signer_halts_with_bad_signature():
 
 def test_tampered_chain_halts_with_chain_tamper():
     report = build_report(CLIENT_PATH)
-    entries = list(report.log.entries)
+    entries = list(report.entries)
     entries[2] = LogEntry(
         Checkpoint(CheckpointLabel.TRAIN_END, "client-00", 5),  # round changed
         entries[2].chain_digest,
     )
     forged = AttestationReport(
-        log=CheckpointLog(entries=tuple(entries)),
+        entries=tuple(entries),
         final_digest=report.final_digest,
         signature=report.signature,
     )
@@ -240,7 +222,7 @@ def test_tampered_chain_halts_with_chain_tamper():
 
 
 def test_empty_signed_log_halts_with_wrong_endpoints():
-    report = finalize_report(CheckpointLog(), KEYS.private)
+    report = finalize_report([], KEYS.private)
     verdict = verify_trace(DEFAULT_CLIENT_GRAPH, report, KEYS.public, "client-00", 0)
     assert not verdict.ok
     assert verdict.reason == WRONG_ENDPOINTS
@@ -258,7 +240,7 @@ def test_signed_trace_of_another_actor_or_round_halts():
     # for the claimed round
     mixed = build_log(CLIENT_PATH[:3])
     for label in CLIENT_PATH[3:]:
-        mixed = record_checkpoint(mixed, Checkpoint(label, "client-00", 1))
+        record_checkpoint(mixed, Checkpoint(label, "client-00", 1))
     cases = [
         (build_report(CLIENT_PATH, actor="client-01"), 0),
         (build_report(CLIENT_PATH, round_no=1), 0),
@@ -317,22 +299,21 @@ def _mutate_entries(entries, kind, i, j, round_no):
 )
 def test_any_single_mutation_halts(kind, i, j, round_no, recompute):
     base = build_report(CLIENT_PATH)
-    mutated = _mutate_entries(base.log.entries, kind, i, j, round_no)
+    mutated = _mutate_entries(base.entries, kind, i, j, round_no)
     if mutated is None:
         return
     if recompute:
         # stronger adversary: rebuild the chain over the mutated checkpoints,
         # but the original signature cannot be reproduced
-        log = CheckpointLog()
+        log = []
         for entry in mutated:
-            log = record_checkpoint(log, entry.checkpoint)
+            record_checkpoint(log, entry.checkpoint)
         forged = AttestationReport(
-            log=log, final_digest=log.final_digest, signature=base.signature
+            entries=tuple(log), final_digest=log[-1].chain_digest, signature=base.signature
         )
     else:
-        log = CheckpointLog(entries=mutated)
         forged = AttestationReport(
-            log=log, final_digest=base.final_digest, signature=base.signature
+            entries=mutated, final_digest=base.final_digest, signature=base.signature
         )
     verdict = verify_trace(DEFAULT_CLIENT_GRAPH, forged, KEYS.public, "client-00", 0)
     assert not verdict.ok

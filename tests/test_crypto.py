@@ -387,9 +387,9 @@ def _read_checkpoint(blob: bytes) -> bytes:
 def _decoder_cases() -> dict:
     """name -> (valid blob, decode-then-re-encode, declared error)."""
     layout = ParameterLayout((("w", (3,)),))
-    log = attestation.CheckpointLog()
+    log = []
     for label in (attestation.CheckpointLabel.ROUND_START, attestation.CheckpointLabel.ROUND_END):
-        log = attestation.record_checkpoint(log, attestation.Checkpoint(label, "c1", 4))
+        attestation.record_checkpoint(log, attestation.Checkpoint(label, "c1", 4))
     report = attestation.finalize_report(log, _CACHED_PAIR.private)
     values = np.array([0.5, -1.0, 2.0])
 
@@ -426,7 +426,7 @@ def _decoder_cases() -> dict:
             lambda b: crypto.RsaPublicKey.from_bytes(b).to_bytes(),
             ValueError,
         ),
-        "checkpoint": (log.entries[0].checkpoint.encode(), _read_checkpoint, ValueError),
+        "checkpoint": (log[0].checkpoint.encode(), _read_checkpoint, ValueError),
     }
 
 

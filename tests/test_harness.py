@@ -85,6 +85,19 @@ def test_full_file_with_comments():
     assert cfg.attack.kind == "tamper" and cfg.attack.fraction == 0.5
 
 
+def test_hash_starts_a_comment_only_after_whitespace():
+    cfg = parse_config(
+        "# leading comment\n"
+        "rounds = 7   # note\n"
+        "data.source = idx\n"
+        "data.idx_images = /tmp/i#1.idx\n"
+        "data.idx_labels = /tmp/l#2.idx\t# tab before the comment\n"
+    )
+    assert cfg.rounds == 7
+    assert cfg.data.idx_images == "/tmp/i#1.idx"
+    assert cfg.data.idx_labels == "/tmp/l#2.idx"
+
+
 def test_attack_seed_inherits_main_seed():
     assert parse_config("seed = 77").attack.seed == 77
     assert parse_config("seed = 77\nattack.seed = 3").attack.seed == 3
@@ -104,6 +117,9 @@ def test_attack_seed_inherits_main_seed():
         ("attack.kind = ddos", "unknown attack kind"),
         ("crypto.key_bits = 512", "1024 or 2048"),
         ("data.source = idx", "idx_images"),
+        ("data.idx_images = /tmp/i.idx", "data.idx_images need data.source = idx"),
+        ("data.idx_labels = /tmp/l.idx", "data.idx_labels need data.source = idx"),
+        ("data.source = synthetic\ndata.subset = 5", "data.subset need data.source = idx"),
         ("data.separation = nan", "data.separation must be finite"),
         ("data.separation = inf", "data.separation must be finite"),
         (f"seed = {2**127}\nattack.seed = 0", "seed must lie in [0, 2**127)"),
@@ -423,7 +439,7 @@ def test_cli_overflowing_poison_drops_the_client_each_round(tmp_path):
         assert poisoned.client_id not in [o.client_id for o in report.outcomes]
         assert len(report.outcomes) == 2
         # the partial trace ends in the re-entered training phase
-        assert [e.checkpoint.label.value for e in poisoned.last_log.entries] == [
+        assert [e.checkpoint.label.value for e in poisoned.last_log] == [
             "ROUND_START", "TRAIN_BEGIN", "TRAIN_END", "TRAIN_BEGIN"
         ]
 
@@ -476,6 +492,14 @@ def test_cli_bad_data_files_are_config_errors(tmp_path, capsys, case, fragment):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("attestfl: config error: ") and fragment in captured.err
+
+
+def test_cli_idx_flags_under_synthetic_source_are_a_config_error(capsys):
+    code = cli.main(["--idx-images", "/does/not/exist", "--subset", "5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("attestfl: config error: ")
+    assert "data.idx_images, data.subset need data.source = idx" in captured.err
 
 
 def test_cli_data_poison_with_one_class_is_a_config_error(tmp_path, capsys):

@@ -19,7 +19,6 @@ from attestfl import crypto, datasets, models, protocol, reporting
 from attestfl.attestation import (
     Checkpoint,
     CheckpointLabel,
-    CheckpointLog,
     DEFAULT_CLIENT_GRAPH,
     DEFAULT_SERVER_GRAPH,
     finalize_report,
@@ -59,9 +58,7 @@ HOLDOUT = datasets.generate_holdout(size=40, num_features=2, num_classes=2, sepa
 
 
 def make_world(security=True, encrypt=False, num_clients=3):
-    server = Server.create(
-        ARCH, key_seed=7, key_bits=1024, dh_params=crypto.TOY_DH_GROUP, security=security
-    )
+    server = Server.create(ARCH, key_seed=7, key_bits=1024, security=security)
     clients = []
     for i in range(num_clients):
         client = ClientActor.create(
@@ -71,7 +68,6 @@ def make_world(security=True, encrypt=False, num_clients=3):
             TRAIN_CFG,
             key_seed=100 + i,
             key_bits=1024,
-            dh_params=crypto.TOY_DH_GROUP,
             encrypt=encrypt,
         )
         server.register(client)
@@ -115,9 +111,7 @@ def test_failed_registration_changes_nothing():
     from dataclasses import replace as dc_replace
 
     server, _ = make_world()
-    newcomer = ClientActor.create(
-        "client-3", SHARDS[0], ARCH, TRAIN_CFG, key_seed=103, key_bits=1024, dh_params=crypto.TOY_DH_GROUP
-    )
+    newcomer = ClientActor.create("client-3", SHARDS[0], ARCH, TRAIN_CFG, key_seed=103, key_bits=1024)
     before = (dict(server.registry), dict(server.session_keys))
     broken = dc_replace(newcomer, dh_public=1)  # outside the accepted [2, p-2]
     with pytest.raises(ValueError):
@@ -147,9 +141,7 @@ def test_registry_is_a_dict_of_entries():
     assert list(server.registry) == [c.client_id for c in clients]
     assert server.registry["client-1"] == clients[1].sig_pair.public
     assert server.registry.get("missing") is None
-    nameless = ClientActor.create(
-        "", SHARDS[0], ARCH, TRAIN_CFG, key_seed=50, key_bits=1024, dh_params=crypto.TOY_DH_GROUP
-    )
+    nameless = ClientActor.create("", SHARDS[0], ARCH, TRAIN_CFG, key_seed=50, key_bits=1024)
     with pytest.raises(ValueError):
         server.register(nameless)
     assert len(server.registry) == len(server.session_keys) == 3
@@ -237,7 +229,7 @@ def test_wire_rejects_wrong_parameter_count():
 def test_client_trace_matches_client_graph():
     server, clients = make_world()
     msg = honest_message(clients[0], server)
-    labels = [e.checkpoint.label for e in msg.attestation.log.entries]
+    labels = [e.checkpoint.label for e in msg.attestation.entries]
     assert labels == [
         CheckpointLabel.ROUND_START,
         CheckpointLabel.TRAIN_BEGIN,
@@ -255,7 +247,7 @@ def test_compromised_client_trace_shows_training_reentry():
     server, clients = make_world()
     clients[0].compromise = lambda update, round_no: scaled(update, -10.0)
     msg = honest_message(clients[0], server)
-    labels = [e.checkpoint.label for e in msg.attestation.log.entries]
+    labels = [e.checkpoint.label for e in msg.attestation.entries]
     # the rewrite pass appears as a second TRAIN_BEGIN/TRAIN_END pair
     assert labels[2:5] == [
         CheckpointLabel.TRAIN_END,
@@ -286,10 +278,9 @@ def test_dropout_keeps_partial_log():
         TrainingConfig(learning_rate=1e308, epochs=2, batch_size="full", seed=0),
         key_seed=900,
         key_bits=1024,
-        dh_params=crypto.TOY_DH_GROUP,
     )
     assert client_round(diverging, ARCH.params, 0) is None
-    labels = [e.checkpoint.label for e in diverging.last_log.entries]
+    labels = [e.checkpoint.label for e in diverging.last_log]
     assert labels == [CheckpointLabel.ROUND_START, CheckpointLabel.TRAIN_BEGIN]
     # the partial trace is provably incomplete: it never reaches the end label
     assert labels[-1] != CheckpointLabel.ROUND_END
@@ -314,7 +305,6 @@ def test_verify_unknown_identity():
         TRAIN_CFG,
         key_seed=901,
         key_bits=1024,
-        dh_params=crypto.TOY_DH_GROUP,
     )
     msg = client_round(outsider, server.state.params, 0)
     assert verify_with(server, msg) == (reporting.REASON_UNKNOWN_IDENTITY, None)
@@ -383,7 +373,7 @@ def test_verify_rejects_truncated_trace():
 
     server, clients = make_world()
     msg = honest_message(clients[0], server)
-    cut = CheckpointLog(entries=msg.attestation.log.entries[:-1])
+    cut = msg.attestation.entries[:-1]
     report = finalize_report(cut, clients[0].sig_pair.private)
     reason, _ = verify_with(server, dc_replace(msg, attestation=report))
     assert reason == reporting.REASON_CFA_HALT
@@ -426,7 +416,6 @@ def test_identity_check_precedes_payload_checks():
         TRAIN_CFG,
         key_seed=903,
         key_bits=1024,
-        dh_params=crypto.TOY_DH_GROUP,
     )
     msg = client_round(outsider, server.state.params, 0)
     # even with a broken digest, the unknown sender is reported first
@@ -440,7 +429,7 @@ def test_freshness_check_precedes_attestation():
 
     server, clients = make_world()
     msg = honest_message(clients[0], server)
-    cut = CheckpointLog(entries=msg.attestation.log.entries[:-1])
+    cut = msg.attestation.entries[:-1]
     stale_and_broken = dc_replace(msg, attestation=finalize_report(cut, clients[0].sig_pair.private))
     reason, _ = verify_with(server, stale_and_broken, round_no=2)
     assert reason == reporting.REASON_REPLAYED_ROUND
@@ -600,7 +589,7 @@ def test_empty_round_self_verifies_server_trace(monkeypatch):
 
     def spy(graph, report, public, actor, round_no):
         verdict = verify_trace(graph, report, public, actor, round_no)
-        checks.append((graph, [e.checkpoint.label for e in report.log.entries], public, actor, round_no, verdict.ok))
+        checks.append((graph, [e.checkpoint.label for e in report.entries], public, actor, round_no, verdict.ok))
         return verdict
 
     monkeypatch.setattr(protocol, "verify_trace", spy)
