@@ -308,6 +308,55 @@ def test_keygen_three_prime_key_matches_rfc8017(bits, seed, monkeypatch):
     assert 0 < t3 < r3 and r1 * r2 * t3 % r3 == 1
 
 
+# (take calls, bytes, SHA-256 of the bytes) that _Drbg.take hands out during
+# keygen_signature(1024, seed) for seeds 0..3 and dh_keygen(seed) for seeds
+# 0..3, then SHA-256 of dh_keygen's private (41 bytes) and public (256 bytes)
+# for seeds 0, 1, 2, 3, 17 and 2**40; a change in how keygen draws moves them.
+RSA_DRAW_PINS = (
+    (232, 10240, "0c96db4b11bcb2233d0daef5f3034a45cc10eb96656ee3f368f82bdc14622761"),
+    (1335, 57961, "9c8d94b1886040bc809369894169ba6a829b17d7357a114e70ee8226d2f72eac"),
+    (482, 21048, "068531948fc1e08ea059f1c363a2af7309bf73b33a562a0db778c664d1f042f6"),
+    (422, 18448, "0dcd993ca01cc7eb3038f2d0f5f603d8703f8ab6311aacd7c7430599536f557d"),
+)
+DH_DRAW_PINS = (
+    (1, 48, "593340abf9b6d74a79aca44c9897dc102bb8090aa594195a0cfc2d9ca2ccfebd"),
+    (1, 48, "dea69f4e36e2585983f080eaac8673651985a63c37c012f2d9169e0a5b039f72"),
+    (1, 48, "242b0a2fb762fe87b5c008132ac8834aec7f212d92867f29f894f57de563bc70"),
+    (1, 48, "28d1980db468df8f847699f2c29b79eae3fa6822a58c726730bd4582336227c7"),
+)
+DH_KEY_PINS = {
+    0: "4d670ce5977dd93c86156316430d8355ef9c180fabc8dcaa3113fed34cf0696b",
+    1: "8af45e55d44c7507783383d46c1c936cfa1f9299d46f9f99c1e51567e5e8bd4c",
+    2: "15f72670e5ab646fa1701ca4c7b189c31579b767a46ddc0262fafcf18f367635",
+    3: "3326220679b5065a05266d4b3f326815f13fb54dcd9b69baae814a6b8e63c9bf",
+    17: "a9450bb71ea11176cddbef1359bf6a365875cb817c3c544552af411a900e6d22",
+    2**40: "75308090a8b3606cd66aee88102187c93edf9414317d3ea1ae215ba80b4b15af",
+}
+
+
+def test_keygen_drbg_draws_are_pinned(monkeypatch):
+    drawn = []
+    real_take = crypto._Drbg.take
+
+    def recording(self, n):
+        drawn.append(real_take(self, n))
+        return drawn[-1]
+
+    monkeypatch.setattr(crypto._Drbg, "take", recording)
+
+    def draws(keygen):
+        drawn.clear()
+        keygen()
+        blob = b"".join(drawn)
+        return len(drawn), len(blob), hashlib.sha256(blob).hexdigest()
+
+    assert tuple(draws(lambda: crypto.keygen_signature(1024, seed)) for seed in range(4)) == RSA_DRAW_PINS
+    assert tuple(draws(lambda: crypto.dh_keygen(crypto.MODP_2048, seed)) for seed in range(4)) == DH_DRAW_PINS
+    for seed, pin in DH_KEY_PINS.items():
+        private, public = crypto.dh_keygen(crypto.MODP_2048, seed)
+        assert hashlib.sha256(private.to_bytes(41, "big") + public.to_bytes(256, "big")).hexdigest() == pin
+
+
 def test_sign_refuses_a_faulty_crt_signature(keypair, monkeypatch):
     priv, pub = keypair.private, keypair.public
     d1, d2, d3 = priv.exponents
