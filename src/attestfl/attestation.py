@@ -24,11 +24,9 @@ from . import crypto
 __all__ = [
     "CheckpointLabel",
     "Checkpoint",
-    "ControlFlowGraph",
     "LogEntry",
     "AttestationReport",
     "TraceVerdict",
-    "cfa_check",
     "record_checkpoint",
     "finalize_report",
     "verify_trace",
@@ -96,36 +94,16 @@ class Checkpoint:
 
 
 # --------------------------------------------------------------------------- #
-# expected control flow
+# expected control flow: a graph is the set of its (from, to) label edges;
+# every trace starts at ROUND_START and ends at ROUND_END
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class ControlFlowGraph:
-    """Directed label graph with designated start and end labels; its
-    edges are its only declaration of which labels exist."""
-
-    edges: frozenset[tuple[CheckpointLabel, CheckpointLabel]]
-    start: CheckpointLabel
-    end: CheckpointLabel
-
-    def __post_init__(self) -> None:
-        # the end label must be reachable from the start
-        frontier = {self.start}
-        seen = set(frontier)
-        while frontier:
-            nxt = {dst for src, dst in self.edges if src in frontier} - seen
-            seen |= nxt
-            frontier = nxt
-        if self.end not in seen:
-            raise ValueError("end label unreachable from start")
-
-
-def _chain(labels: Sequence[CheckpointLabel]) -> frozenset[tuple[CheckpointLabel, CheckpointLabel]]:
+def _chain(*labels: CheckpointLabel) -> frozenset[tuple[CheckpointLabel, CheckpointLabel]]:
     return frozenset(zip(labels, labels[1:]))
 
 
-_CLIENT_PATH = (
+DEFAULT_CLIENT_GRAPH = _chain(
     CheckpointLabel.ROUND_START,
     CheckpointLabel.TRAIN_BEGIN,
     CheckpointLabel.TRAIN_END,
@@ -135,47 +113,19 @@ _CLIENT_PATH = (
     CheckpointLabel.ROUND_END,
 )
 
-DEFAULT_CLIENT_GRAPH = ControlFlowGraph(
-    edges=_chain(_CLIENT_PATH),
-    start=CheckpointLabel.ROUND_START,
-    end=CheckpointLabel.ROUND_END,
-)
-
-_SERVER_PATH = (
+# the receive label loops, or is skipped, so one round can take any number
+# of messages, none included
+DEFAULT_SERVER_GRAPH = _chain(
     CheckpointLabel.ROUND_START,
     CheckpointLabel.SERVER_RECEIVED,
     CheckpointLabel.SERVER_VERIFIED,
     CheckpointLabel.AGGREGATED,
     CheckpointLabel.GLOBAL_APPLIED,
     CheckpointLabel.ROUND_END,
-)
-
-DEFAULT_SERVER_GRAPH = ControlFlowGraph(
-    # the receive label loops, or is skipped, so one round can take any
-    # number of messages, none included
-    edges=_chain(_SERVER_PATH)
-    | {
-        (CheckpointLabel.SERVER_RECEIVED, CheckpointLabel.SERVER_RECEIVED),
-        (CheckpointLabel.ROUND_START, CheckpointLabel.SERVER_VERIFIED),
-    },
-    start=CheckpointLabel.ROUND_START,
-    end=CheckpointLabel.ROUND_END,
-)
-
-
-def cfa_check(
-    graph: ControlFlowGraph,
-    prev: Optional[CheckpointLabel],
-    current: CheckpointLabel,
-) -> bool:
-    """True iff the step from `prev` to `current` is admissible.
-
-    With no predecessor the only admissible label is the graph's start.
-    Unknown labels and missing edges are inadmissible; the function is total.
-    """
-    if prev is None:
-        return current == graph.start
-    return (prev, current) in graph.edges
+) | {
+    (CheckpointLabel.SERVER_RECEIVED, CheckpointLabel.SERVER_RECEIVED),
+    (CheckpointLabel.ROUND_START, CheckpointLabel.SERVER_VERIFIED),
+}
 
 
 # --------------------------------------------------------------------------- #
@@ -249,20 +199,21 @@ class TraceVerdict:
 
 
 def verify_trace(
-    graph: ControlFlowGraph,
+    graph: frozenset[tuple[CheckpointLabel, CheckpointLabel]],
     report: AttestationReport,
     public: crypto.RsaPublicKey,
     actor: str,
     round_no: int,
 ) -> TraceVerdict:
     """Full trace check, in order: chain replay, report signature, every
-    step against the graph, then start and end labels.
+    step against the graph, then the end label.
 
-    A step is admissible only if its checkpoint names `actor` and `round_no`
-    and its transition is an edge of the graph, so a trace lifted from
-    another actor or round halts as an illegal transition.  Returns a passing
-    verdict, or the index and reason of the first failing entry.  The
-    signature check uses index len(entries), one past the last.
+    A step is admissible when its checkpoint names `actor` and `round_no`
+    and its label is ROUND_START as the first entry, or follows the previous
+    label along an edge of `graph`; so a trace lifted from another actor or
+    round halts as an illegal transition.  The last label must be ROUND_END.
+    Returns a passing verdict, or the index and reason of the first failing
+    entry.  The signature check uses index len(entries), one past the last.
     """
     entries = report.entries
 
@@ -280,13 +231,12 @@ def verify_trace(
     prev: Optional[CheckpointLabel] = None
     for index, entry in enumerate(entries):
         cp = entry.checkpoint
-        if cp.actor != actor or cp.round != round_no or not cfa_check(graph, prev, cp.label):
+        step_ok = cp.label is CheckpointLabel.ROUND_START if prev is None else (prev, cp.label) in graph
+        if cp.actor != actor or cp.round != round_no or not step_ok:
             return TraceVerdict(index, ILLEGAL_TRANSITION)
         prev = cp.label
 
-    if not entries:
-        return TraceVerdict(0, WRONG_ENDPOINTS)
-    if entries[-1].checkpoint.label != graph.end:
-        return TraceVerdict(len(entries) - 1, WRONG_ENDPOINTS)
+    if prev is not CheckpointLabel.ROUND_END:
+        return TraceVerdict(max(len(entries) - 1, 0), WRONG_ENDPOINTS)
 
     return TraceVerdict()

@@ -14,9 +14,10 @@ FIPS 186-5 approves only two-prime keys.  Signing uses the CRT form over the
 three primes and checks every signature against the public key before
 releasing it.
 
-Diffie-Hellman private exponents are 320 bits long (RFC 3526 section 8's
-size for the 2048-bit group), not as long as the modulus, so every
-exponentiation is one builtin `pow` with a short exponent.
+Key agreement is Diffie-Hellman in one group, RFC 3526 group 14 (the
+2048-bit MODP prime with generator 2).  Private exponents are 320 bits long
+(RFC 3526 section 8's size for that group), not as long as the modulus, so
+every exponentiation is one builtin `pow` with a short exponent.
 
 Byte conventions are big-endian throughout.  `canonical_encode` defines the
 injective byte layout that both digests and signatures commit to.  `prefixed`
@@ -54,11 +55,9 @@ __all__ = [
     "keygen_signature",
     "sign",
     "verify",
-    "DhParams",
-    "TOY_DH_GROUP",
-    "MODP_2048",
+    "DH_PRIME",
+    "DH_GENERATOR",
     "dh_keygen",
-    "dh_public",
     "dh_shared",
     "kdf",
     "derive_nonce",
@@ -426,80 +425,50 @@ def verify(digest: bytes, signature: bytes, public: RsaPublicKey) -> bool:
 # Diffie-Hellman key agreement
 # --------------------------------------------------------------------------- #
 
+# RFC 3526 group 14: the 2048-bit MODP safe prime p = 2q + 1, and 2, which
+# generates the subgroup of prime order q.
+DH_PRIME = int(
+    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
+    "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
+    "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
+    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05"
+    "98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB"
+    "9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B"
+    "E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718"
+    "3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF",
+    16,
+)
+DH_GENERATOR = 2
+
 _DH_EXPONENT_BITS = 320  # private exponent size, RFC 3526 section 8
 
 
-@dataclass(frozen=True)
-class DhParams:
-    """Finite-field group: safe prime modulus and generator."""
-
-    p: int
-    g: int
-
-    def __post_init__(self) -> None:
-        if self.p < 5 or not 1 < self.g < self.p:
-            raise ValueError("degenerate group parameters")
-
-
-# Tiny textbook group, unit-test sized.  Secrets in it are toys by design.
-TOY_DH_GROUP = DhParams(p=23, g=5)
-
-# RFC 3526 group 14: 2048-bit MODP safe prime, generator 2.
-MODP_2048 = DhParams(
-    p=int(
-        "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
-        "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
-        "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
-        "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05"
-        "98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB"
-        "9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B"
-        "E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718"
-        "3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF",
-        16,
-    ),
-    g=2,
-)
-
-
-def dh_public(params: DhParams, private: int) -> int:
-    """Public value for a private exponent: g to the private, mod p."""
-    if not 1 <= private <= params.p - 2:
-        raise ValueError("private exponent out of range")
-    return pow(params.g, private, params.p)
-
-
-def dh_keygen(params: DhParams, seed: int) -> tuple[int, int]:
-    """Deterministic (private, public) pair for the given group and seed.
+def dh_keygen(seed: int) -> tuple[int, int]:
+    """Deterministic (private, public) pair for `seed`.
 
     The private exponent is short: 384 drawn bits reduced into
-    [2, 2 + min(p - 3, 2^320)), which is [2, p-2] in a toy group.  RFC 3526
-    section 8 gives 320 bits for the 2048-bit group's higher strength
-    estimate (NIST SP 800-56A Rev. 3 asks for at least 224), and `pow` with
-    it costs about a sixth of a full-length one.  Redraws until the public
-    value lands in [2, p-2], the range dh_shared accepts; in tiny test groups
-    the generator can hit p-1 legitimately.
+    [2, 2 + 2^320).  RFC 3526 section 8 gives 320 bits for the group's
+    higher strength estimate (NIST SP 800-56A Rev. 3 asks for at least 224),
+    and `pow` with it costs about a sixth of a full-length one.  Every such
+    exponent is far below the generator's order q, so the public value is
+    never 0, 1 or p-1 and always lies in the [2, p-2] that dh_shared accepts.
     """
-    rng = _Drbg(b"dh-keygen", seed)
-    span = min(params.p - 3, 1 << _DH_EXPONENT_BITS)
-    while True:
-        private = 2 + rng.take_int(_DH_EXPONENT_BITS + 64) % span
-        public = dh_public(params, private)
-        if 2 <= public <= params.p - 2:
-            return private, public
+    private = 2 + _Drbg(b"dh-keygen", seed).take_int(_DH_EXPONENT_BITS + 64) % (1 << _DH_EXPONENT_BITS)
+    return private, pow(DH_GENERATOR, private, DH_PRIME)
 
 
-def dh_shared(private: int, peer_public: int, params: DhParams) -> int:
+def dh_shared(private: int, peer_public: int) -> int:
     """Shared secret from our private exponent and the peer's public value.
 
     The peer value must lie in [2, p-2]; 0, 1, and p-1 are rejected because
     they force degenerate secrets.  Both ranges are checked before any
     exponentiation.
     """
-    if not 2 <= peer_public <= params.p - 2:
+    if not 2 <= peer_public <= DH_PRIME - 2:
         raise ValueError("peer public value out of range")
-    if not 1 <= private <= params.p - 2:
+    if not 1 <= private <= DH_PRIME - 2:
         raise ValueError("private exponent out of range")
-    return pow(peer_public, private, params.p)
+    return pow(peer_public, private, DH_PRIME)
 
 
 def kdf(secret: int) -> bytes:

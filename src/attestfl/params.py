@@ -80,10 +80,6 @@ class ParameterVector:
     def size(self) -> int:
         return int(self.values.size)
 
-    def tensors(self) -> dict[str, np.ndarray]:
-        """Read-only views of each layer, reshaped per the layout."""
-        return self.layout.split(self.values)
-
     # ---- arithmetic (layout-checked) ---- #
 
     def add(self, other: "ParameterVector") -> "ParameterVector":

@@ -312,7 +312,7 @@ class ClientActor:
         encrypt: bool = False,
     ) -> "ClientActor":
         sig_pair = crypto.keygen_signature(key_bits=key_bits, seed=key_seed)
-        dh_private, dh_public = crypto.dh_keygen(crypto.MODP_2048, seed=crypto.derive_seed(client_id, "dh", key_seed))
+        dh_private, dh_public = crypto.dh_keygen(seed=crypto.derive_seed(client_id, "dh", key_seed))
         return cls(
             client_id=client_id,
             data=data,
@@ -509,7 +509,7 @@ class Server:
         security: bool = True,
     ) -> "Server":
         sig_pair = crypto.keygen_signature(key_bits=key_bits, seed=key_seed)
-        dh_private, dh_public = crypto.dh_keygen(crypto.MODP_2048, seed=crypto.derive_seed(SERVER_ID, "dh", key_seed))
+        dh_private, dh_public = crypto.dh_keygen(seed=crypto.derive_seed(SERVER_ID, "dh", key_seed))
         state = GlobalModelState(round=0, params=architecture.params)
         return cls(
             architecture=architecture,
@@ -531,8 +531,8 @@ class Server:
             raise ValueError("client id must be non-empty")
         if cid in self.registry:
             raise DuplicateClientError(f"client {cid!r} already registered")
-        shared_at_server = crypto.dh_shared(self.dh_private, client.dh_public, crypto.MODP_2048)
-        shared_at_client = crypto.dh_shared(client.dh_private, self.dh_public, crypto.MODP_2048)
+        shared_at_server = crypto.dh_shared(self.dh_private, client.dh_public)
+        shared_at_client = crypto.dh_shared(client.dh_private, self.dh_public)
         self.registry[cid] = client.sig_pair.public
         self.session_keys[cid] = crypto.kdf(shared_at_server)
         client.session_key = crypto.kdf(shared_at_client)

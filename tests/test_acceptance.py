@@ -300,11 +300,10 @@ def test_c09_crypto_spot_suite():
         == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
     )
 
-    group = crypto.TOY_DH_GROUP
-    pub_a = crypto.dh_public(group, 6)
-    pub_b = crypto.dh_public(group, 15)
-    shared = crypto.dh_shared(6, pub_b, group)
-    dh_ok = (pub_a, pub_b, shared) == (8, 19, 2) and shared == crypto.dh_shared(15, pub_a, group)
+    a, pub_a = crypto.dh_keygen(seed=6)
+    b, pub_b = crypto.dh_keygen(seed=15)
+    shared = crypto.dh_shared(a, pub_b)
+    dh_ok = shared == crypto.dh_shared(b, pub_a) == pow(crypto.DH_GENERATOR, a * b, crypto.DH_PRIME)
 
     rng = np.random.default_rng(9)
     cipher_ok = True

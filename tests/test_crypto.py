@@ -2,8 +2,7 @@
 
 Fixed expected values come from independent sources: FIPS 180-4 example
 digests for SHA-256, hand-assembled byte layouts for the canonical encoding,
-and small-group key exchange numbers recomputed here by brute-force modular
-arithmetic.
+and the `cryptography` package's RSA, HMAC and Diffie-Hellman results.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attestfl import attestation, crypto, protocol
@@ -351,9 +350,9 @@ def test_keygen_drbg_draws_are_pinned(monkeypatch):
         return len(drawn), len(blob), hashlib.sha256(blob).hexdigest()
 
     assert tuple(draws(lambda: crypto.keygen_signature(1024, seed)) for seed in range(4)) == RSA_DRAW_PINS
-    assert tuple(draws(lambda: crypto.dh_keygen(crypto.MODP_2048, seed)) for seed in range(4)) == DH_DRAW_PINS
+    assert tuple(draws(lambda: crypto.dh_keygen(seed)) for seed in range(4)) == DH_DRAW_PINS
     for seed, pin in DH_KEY_PINS.items():
-        private, public = crypto.dh_keygen(crypto.MODP_2048, seed)
+        private, public = crypto.dh_keygen(seed)
         assert hashlib.sha256(private.to_bytes(41, "big") + public.to_bytes(256, "big")).hexdigest() == pin
 
 
@@ -514,78 +513,52 @@ def test_decoder_is_total(name, data):
 # --------------------------------------------------------------------------- #
 
 
-def _brute_pow(base: int, exp: int, mod: int) -> int:
-    acc = 1
-    for _ in range(exp):
-        acc = acc * base % mod
-    return acc
+def test_dh_generator_has_prime_order():
+    # the premise of dh_keygen's range claim: 2 generates the subgroup of
+    # prime order q, so 2^x for 2 <= x < q is never 1 or p-1
+    sympy = pytest.importorskip("sympy")
+    q = (crypto.DH_PRIME - 1) // 2
+    assert pow(crypto.DH_GENERATOR, q, crypto.DH_PRIME) == 1
+    assert sympy.isprime(q)
 
 
-def test_dh_toy_group_vectors():
-    group = crypto.TOY_DH_GROUP
-    pub_a = crypto.dh_public(group, 6)
-    pub_b = crypto.dh_public(group, 15)
-    assert pub_a == 8
-    assert pub_b == 19
-    # independent recomputation by repeated multiplication
-    assert pub_a == _brute_pow(5, 6, 23)
-    assert pub_b == _brute_pow(5, 15, 23)
-    shared_a = crypto.dh_shared(6, pub_b, group)
-    shared_b = crypto.dh_shared(15, pub_a, group)
-    assert shared_a == shared_b == 2
-    assert shared_a == _brute_pow(pub_b, 6, 23)
-
-
-def test_dh_exponent_one_gives_generator():
-    assert crypto.dh_public(crypto.TOY_DH_GROUP, 1) == crypto.TOY_DH_GROUP.g
+def test_dh_shared_matches_cryptography_package():
+    dh = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.dh")
+    group = dh.DHParameterNumbers(crypto.DH_PRIME, crypto.DH_GENERATOR)
+    for seed_a, seed_b in ((0, 1), (2, 3), (17, 2**40)):
+        a_priv, a_pub = crypto.dh_keygen(seed_a)
+        b_priv, b_pub = crypto.dh_keygen(seed_b)
+        a_key = dh.DHPrivateNumbers(a_priv, dh.DHPublicNumbers(a_pub, group)).private_key()
+        oracle = int.from_bytes(a_key.exchange(dh.DHPublicNumbers(b_pub, group).public_key()), "big")
+        assert crypto.dh_shared(a_priv, b_pub) == crypto.dh_shared(b_priv, a_pub) == oracle
 
 
 def test_dh_rejects_edge_peer_values():
-    group = crypto.TOY_DH_GROUP
-    for bad in (0, 1, group.p - 1, group.p, -3):
+    private = crypto.dh_keygen(seed=6)[0]
+    for bad in (0, 1, crypto.DH_PRIME - 1, crypto.DH_PRIME, -3):
         with pytest.raises(ValueError):
-            crypto.dh_shared(6, bad, group)
-
-
-def test_dh_keygen_deterministic_and_in_range():
-    priv1, pub1 = crypto.dh_keygen(crypto.TOY_DH_GROUP, seed=5)
-    priv2, pub2 = crypto.dh_keygen(crypto.TOY_DH_GROUP, seed=5)
-    assert (priv1, pub1) == (priv2, pub2)
-    assert 2 <= priv1 <= crypto.TOY_DH_GROUP.p - 2
+            crypto.dh_shared(private, bad)
 
 
 def test_dh_agreement_default_group():
-    a_priv, a_pub = crypto.dh_keygen(crypto.MODP_2048, seed=1)
-    b_priv, b_pub = crypto.dh_keygen(crypto.MODP_2048, seed=2)
-    assert crypto.dh_shared(a_priv, b_pub, crypto.MODP_2048) == crypto.dh_shared(
-        b_priv, a_pub, crypto.MODP_2048
-    )
+    a_priv, a_pub = crypto.dh_keygen(seed=1)
+    b_priv, b_pub = crypto.dh_keygen(seed=2)
+    assert crypto.dh_shared(a_priv, b_pub) == crypto.dh_shared(b_priv, a_pub)
 
 
-@settings(max_examples=100)
-@given(st.integers(min_value=2, max_value=21), st.integers(min_value=2, max_value=21))
-def test_dh_commutes_on_toy_group(a, b):
-    group = crypto.TOY_DH_GROUP
-    pub_a, pub_b = crypto.dh_public(group, a), crypto.dh_public(group, b)
-    # exponents whose public lands on an edge value are rejected by contract
-    assume(2 <= pub_a <= group.p - 2 and 2 <= pub_b <= group.p - 2)
-    assert crypto.dh_shared(a, pub_b, group) == crypto.dh_shared(b, pub_a, group)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=2**320 + 1), st.integers(min_value=2, max_value=2**320 + 1))
+def test_dh_commutes_over_short_exponents(a, b):
+    pub_a = pow(crypto.DH_GENERATOR, a, crypto.DH_PRIME)
+    pub_b = pow(crypto.DH_GENERATOR, b, crypto.DH_PRIME)
+    assert crypto.dh_shared(a, pub_b) == crypto.dh_shared(b, pub_a)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 17, 2**40])
 def test_dh_keygen_draws_a_short_exponent_on_modp_2048(seed):
-    group = crypto.MODP_2048
-    private, public = crypto.dh_keygen(group, seed=seed)
+    private, public = crypto.dh_keygen(seed=seed)
     assert 2 <= private < 2 + 2**320
-    assert public == pow(group.g, private, group.p)
-
-
-def test_dh_keygen_toy_group_still_spans_the_whole_range():
-    group = crypto.TOY_DH_GROUP
-    privates = {crypto.dh_keygen(group, seed=seed)[0] for seed in range(200)}
-    assert min(privates) >= 2 and max(privates) <= group.p - 2
-    # every exponent whose public value dh_shared accepts is reachable
-    assert privates == {x for x in range(2, group.p - 1) if 2 <= pow(group.g, x, group.p) <= group.p - 2}
+    assert public == pow(crypto.DH_GENERATOR, private, crypto.DH_PRIME)
 
 
 def test_kdf_matches_direct_hash():

@@ -176,9 +176,10 @@ def test_gradient_hand_case_logreg():
     # zero parameters, one example x=[1,0] labelled class 1:
     # probabilities are (.5,.5); d/dlogits = (.5, -.5)
     model = models.logistic_regression(2, 2)
-    grad = models.gradient(model, tiny_dataset()).tensors()
-    assert np.allclose(grad["weights"], [[0.5, 0.0], [-0.5, 0.0]], atol=1e-15)
-    assert np.allclose(grad["bias"], [0.5, -0.5], atol=1e-15)
+    grad = models.gradient(model, tiny_dataset())
+    layers = grad.layout.split(grad.values)
+    assert np.allclose(layers["weights"], [[0.5, 0.0], [-0.5, 0.0]], atol=1e-15)
+    assert np.allclose(layers["bias"], [0.5, -0.5], atol=1e-15)
 
 
 def test_gradient_matches_finite_differences_logreg():

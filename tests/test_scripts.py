@@ -4,13 +4,15 @@ The scripts read the public report types (`RoundReport`, `MetricsTable`),
 so a change to those types shows up here rather than in a later study.
 The tracer wraps package attributes by name, so a refactor that drops one
 (say a by-name import into `protocol`) shows up here rather than only in a
-minute-long bench run.
+minute-long bench run.  A star import of every module checks that each
+`__all__` names only what its module defines.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +22,9 @@ import pytest
 import attestfl
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# every module but __main__, which runs the command line when imported
+MODULES = sorted(m.name for m in pkgutil.iter_modules(attestfl.__path__) if m.name != "__main__")
 
 # column headers each script must print, where any are pinned
 PRINTED = {"run_scaling_sweep.py": ("setup ms/client", "peak RSS MB")}
@@ -64,3 +69,9 @@ def test_bench_tracer_resolves_every_wrapped_name():
     # one key agreement per client, each computing both halves
     assert names.count("crypto.dh_shared") == 2 * config.clients
     assert names.count("crypto.dh_keygen") == 1 + config.clients
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_star_import_resolves_every_exported_name(module):
+    # a name deleted from a module but left in its __all__ raises here
+    exec(f"from attestfl.{module} import *", {})
