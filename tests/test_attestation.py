@@ -61,14 +61,18 @@ def build_report(labels, keys=KEYS, actor="client-00", round_no=0) -> Attestatio
 # --------------------------------------------------------------------------- #
 
 
-def test_client_graph_edge_membership():
+def test_cfa_check_edges():
+    # the control-flow check is edge membership in the fixed client graph
     g = DEFAULT_CLIENT_GRAPH
     assert g == frozenset(zip(CLIENT_PATH, CLIENT_PATH[1:]))
     assert (CheckpointLabel.TRAIN_BEGIN, CheckpointLabel.TRAIN_END) in g
     assert (CheckpointLabel.TRAIN_END, CheckpointLabel.TRAIN_BEGIN) not in g
     assert (CheckpointLabel.UPDATE_HASHED, CheckpointLabel.UPDATE_SENT) not in g
+
+
+def test_cfa_check_foreign_label_scores_zero():
     # a server-side label is on no client edge
-    assert (CheckpointLabel.ROUND_START, CheckpointLabel.SERVER_RECEIVED) not in g
+    assert (CheckpointLabel.ROUND_START, CheckpointLabel.SERVER_RECEIVED) not in DEFAULT_CLIENT_GRAPH
 
 
 def test_server_graph_allows_repeated_receives():
