@@ -395,6 +395,27 @@ def test_run_experiment_idx_source(tmp_path):
     assert sum(c.data.size for c in sim.clients) == 32
 
 
+def test_idx_source_deals_rows_round_robin_below_the_cut(tmp_path):
+    # 37 rows cut at 29, so the three shards hold 10, 10 and 9 rows
+    images, labels = write_idx(tmp_path, count=40, rows=2, cols=2, labels=[i % 3 for i in range(40)])
+    cfg = parse_config(
+        FAST
+        + f"data.source = idx\ndata.idx_images = {images}\ndata.idx_labels = {labels}\ndata.subset = 37"
+    )
+    sim = build_simulation(cfg)
+    pool = datasets.load_idx(images, labels, subset=37, seed=crypto.derive_seed(cfg.seed, "data"))
+    cut = (37 * 4) // 5
+    assert len({row.tobytes() for row in pool.features}) == 37  # every row is distinguishable
+    for i, client in enumerate(sim.clients):
+        rows = list(range(i, cut, cfg.clients))
+        assert np.array_equal(client.data.features, pool.features[rows])
+        assert np.array_equal(client.data.labels, pool.labels[rows])
+        assert client.data.num_classes == 3
+    assert [c.data.size for c in sim.clients] == [10, 10, 9]
+    assert np.array_equal(sim.holdout.features, pool.features[cut:])
+    assert np.array_equal(sim.holdout.labels, pool.labels[cut:])
+
+
 # ---- CLI ---- #
 
 
