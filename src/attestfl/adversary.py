@@ -13,8 +13,12 @@ Each attack maps onto a different layer of the pipeline:
   replay         previously sent messages are captured and re-delivered in
                  later rounds
 
-The plan object plugs into the round loop and rewrites in-flight
-deliveries; it never touches server or client internals.
+`arm` applies an attack to an honest, registered world: it picks the
+compromised clients, flips a data-poisoned client's labels or sets a
+model-poisoned client's `compromise` hook, and returns an `AttackPlan` for
+the three kinds that act on deliveries (tamper, sybil, replay).  The plan
+plugs into the round loop and rewrites in-flight deliveries; it never
+touches server or client internals.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import crypto, datasets, models
+from . import crypto, datasets
 from .datasets import Dataset
 from .models import Model, TrainingConfig, TrainingError
 from .params import ParameterVector
@@ -41,6 +45,7 @@ __all__ = [
     "ATTACK_KINDS",
     "AttackConfig",
     "AttackPlan",
+    "arm",
     "choose_compromised",
     "make_poison",
     "flip_labels",
@@ -55,9 +60,9 @@ ATTACK_TAMPER = "tamper"
 ATTACK_SYBIL = "sybil"
 ATTACK_REPLAY = "replay"
 
-ATTACK_KINDS = frozenset(
-    {ATTACK_NONE, ATTACK_MODEL_POISON, ATTACK_DATA_POISON, ATTACK_TAMPER, ATTACK_SYBIL, ATTACK_REPLAY}
-)
+# kinds that act on deliveries, so only they have an AttackPlan
+_IN_TRANSIT_KINDS = frozenset({ATTACK_TAMPER, ATTACK_SYBIL, ATTACK_REPLAY})
+ATTACK_KINDS = frozenset({ATTACK_NONE, ATTACK_MODEL_POISON, ATTACK_DATA_POISON}) | _IN_TRANSIT_KINDS
 
 
 # training examples behind each fabricated sybil actor
@@ -105,6 +110,37 @@ def choose_compromised(client_ids: Sequence[str], fraction: float, seed: int) ->
     return frozenset(ids[i] for i in picked)
 
 
+def arm(
+    attack: AttackConfig, clients: Sequence[ClientActor], *, separation: float, key_bits: int
+) -> AttackPlan | None:
+    """Apply `attack` to honest, registered clients; return its plan, if any.
+
+    Model-poison and data-poison change the compromised clients in place
+    (a `compromise` hook, or labels flipped before any round runs) and
+    return None.  Tamper, sybil and replay leave the clients alone and
+    return the plan that acts on their deliveries.  Raises ValueError when
+    data-poison meets a one-class shard.
+    """
+    compromised = choose_compromised([c.client_id for c in clients], attack.fraction, attack.seed)
+    for client in clients:
+        if client.client_id in compromised:
+            seed = crypto.derive_seed(attack.seed, client.client_id)
+            if attack.kind == ATTACK_DATA_POISON:
+                client.data = flip_labels(client.data, 1.0, seed)
+            elif attack.kind == ATTACK_MODEL_POISON:
+                client.compromise = make_poison(attack.strength, seed)
+    count = _round_half_up(attack.fraction * len(clients))
+    if attack.kind == ATTACK_TAMPER:
+        return AttackPlan(kind=attack.kind, seed=attack.seed, compromised=compromised)
+    if attack.kind == ATTACK_SYBIL:
+        model, train_cfg = clients[0].architecture, clients[0].train_cfg
+        sybils = spawn_sybils(count, model, train_cfg, separation=separation, seed=attack.seed, key_bits=key_bits)
+        return AttackPlan(kind=attack.kind, seed=attack.seed, sybils=sybils)
+    if attack.kind == ATTACK_REPLAY:
+        return AttackPlan(kind=attack.kind, seed=attack.seed, replays_per_round=max(1, count))
+    return None
+
+
 # --------------------------------------------------------------------------- #
 # payload corruption primitives
 # --------------------------------------------------------------------------- #
@@ -140,7 +176,7 @@ def flip_labels(data: Dataset, fraction: float, seed: int) -> Dataset:
     if count == 0:
         return data
     if data.num_classes < 2:
-        raise ValueError("cannot flip labels with fewer than two classes")
+        raise ValueError(f"flipping labels needs two classes, got {data.num_classes}")
     rng = np.random.default_rng(crypto.derive_seed("label-flip", seed))
     rows = rng.choice(data.size, size=count, replace=False)
     labels = data.labels.copy()
@@ -166,15 +202,14 @@ def spawn_sybils(
     architecture: Model,
     train_cfg: TrainingConfig,
     *,
-    num_features: int,
-    num_classes: int,
     separation: float,
     seed: int,
     key_bits: int = 2048,
 ) -> list[ClientActor]:
     """Fabricated actors with their own keys, data, and legal-looking traces.
 
-    Nothing distinguishes their submissions from honest ones except that no
+    Their shards have the architecture's feature and class counts.  Nothing
+    distinguishes their submissions from honest ones except that no
     registry entry matches their identity.
     """
     if count == 0:
@@ -182,8 +217,8 @@ def spawn_sybils(
     shards = datasets.generate_synthetic(
         num_clients=count,
         per_client=_SYBIL_SHARD_SIZE,
-        num_features=num_features,
-        num_classes=num_classes,
+        num_features=architecture.num_features,
+        num_classes=architecture.num_classes,
         separation=separation,
         seed=crypto.derive_seed("sybil-data", seed),
     )
@@ -211,11 +246,11 @@ def spawn_sybils(
 class AttackPlan:
     """Stateful interceptor the round loop hands every outgoing batch to.
 
-    Construction wires in whatever the kind needs: compromised ids for
-    tampering, prebuilt sybil actors, or a capture buffer plus per-round
-    resend count for replay.  Kinds that act before any message exists
-    (model-poison, data-poison) leave deliveries untouched here; they are
-    applied when the simulation is assembled.
+    A plan exists only for the in-transit kinds.  Construction wires in
+    whatever the kind needs: compromised ids for tampering, prebuilt sybil
+    actors, or a capture buffer plus per-round resend count for replay.
+    Model-poison and data-poison act before any message exists, so `arm`
+    applies them to the clients and returns no plan.
     """
 
     kind: str
@@ -226,8 +261,8 @@ class AttackPlan:
     captured: list[SignedUpdate] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.kind not in ATTACK_KINDS:
-            raise ValueError(f"unknown attack kind {self.kind!r}")
+        if self.kind not in _IN_TRANSIT_KINDS:
+            raise ValueError(f"no in-transit attack of kind {self.kind!r}")
         self._rng = np.random.default_rng(crypto.derive_seed("attack-plan", self.seed))
 
     def transform(
@@ -245,16 +280,14 @@ class AttackPlan:
                 if msg is not None:
                     out.append(Delivery(payload=msg, source=sybil.client_id, honest=False))
             return out
-        if self.kind == ATTACK_REPLAY:
-            out = list(deliveries)
-            if self.captured and self.replays_per_round > 0:
-                picks = self._rng.integers(0, len(self.captured), size=self.replays_per_round)
-                for i in picks:
-                    msg = self.captured[i]
-                    out.append(Delivery(payload=msg, source=msg.client_id, honest=False))
-            self.captured.extend(d.payload for d in deliveries)
-            return out
-        return deliveries
+        out = list(deliveries)  # replay
+        if self.captured and self.replays_per_round > 0:
+            picks = self._rng.integers(0, len(self.captured), size=self.replays_per_round)
+            for i in picks:
+                msg = self.captured[i]
+                out.append(Delivery(payload=msg, source=msg.client_id, honest=False))
+        self.captured.extend(d.payload for d in deliveries)
+        return out
 
     def _tampered(self, delivery: Delivery) -> Delivery:
         blob = delivery.payload.to_wire_bytes()

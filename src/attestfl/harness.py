@@ -32,7 +32,6 @@ __all__ = [
     "CryptoSpec",
     "ExperimentConfig",
     "parse_config",
-    "parse_entries",
     "Simulation",
     "build_simulation",
     "run_experiment",
@@ -188,50 +187,6 @@ _CONVERTERS = {
 }
 
 
-def parse_entries(entries: dict[str, str]) -> ExperimentConfig:
-    """Build a validated config from dotted-key strings.
-
-    attack.seed defaults to the top-level seed when not given, so a whole
-    experiment reseeds from one knob.
-    """
-    values: dict[str, object] = {}
-    for key, raw in entries.items():
-        converter = _CONVERTERS.get(key)
-        if converter is None:
-            raise ConfigError(f"unknown key {key!r}")
-        values[key] = converter(key, raw)
-
-    def pick(prefix: str, cls, **renames):
-        kwargs = {}
-        for key, value in values.items():
-            if not key.startswith(prefix + "."):
-                continue
-            name = key[len(prefix) + 1 :]
-            kwargs[renames.get(name, name)] = value
-        return cls(**kwargs)
-
-    if values.get("data.source", SOURCE_SYNTHETIC) == SOURCE_SYNTHETIC:
-        stray = [key for key in ("data.idx_images", "data.idx_labels", "data.subset") if key in values]
-        if stray:
-            raise ConfigError(f"{', '.join(stray)} need data.source = idx")
-    values.setdefault("attack.seed", values.get("seed", ExperimentConfig.seed))
-    try:
-        return ExperimentConfig(
-            **{key: value for key, value in values.items() if "." not in key},
-            model=pick("model", ModelSpec),
-            data=pick("data", DataSpec),
-            train=pick("train", TrainingConfig, lr="learning_rate", batch="batch_size"),
-            crypto=pick("crypto", CryptoSpec),
-            attack=pick("attack", AttackConfig),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        # component validators raise plain ValueError; keep one error type
-        # at this boundary so callers handle a single class
-        raise ConfigError(str(exc)) from exc
-
-
 _COMMENT = re.compile(r"(^|\s)#.*")
 
 
@@ -256,7 +211,43 @@ def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> Exper
         entries[key] = raw
     if overrides:
         entries.update(overrides)
-    return parse_entries(entries)
+    values: dict[str, object] = {}
+    for key, raw in entries.items():
+        converter = _CONVERTERS.get(key)
+        if converter is None:
+            raise ConfigError(f"unknown key {key!r}")
+        values[key] = converter(key, raw)
+
+    def pick(prefix: str, cls, **renames):
+        kwargs = {}
+        for key, value in values.items():
+            if not key.startswith(prefix + "."):
+                continue
+            name = key[len(prefix) + 1 :]
+            kwargs[renames.get(name, name)] = value
+        return cls(**kwargs)
+
+    if values.get("data.source", SOURCE_SYNTHETIC) == SOURCE_SYNTHETIC:
+        stray = [key for key in ("data.idx_images", "data.idx_labels", "data.subset") if key in values]
+        if stray:
+            raise ConfigError(f"{', '.join(stray)} need data.source = idx")
+    # attack.seed defaults to the top-level seed, so one knob reseeds a run
+    values.setdefault("attack.seed", values.get("seed", ExperimentConfig.seed))
+    try:
+        return ExperimentConfig(
+            **{key: value for key, value in values.items() if "." not in key},
+            model=pick("model", ModelSpec),
+            data=pick("data", DataSpec),
+            train=pick("train", TrainingConfig, lr="learning_rate", batch="batch_size"),
+            crypto=pick("crypto", CryptoSpec),
+            attack=pick("attack", AttackConfig),
+        )
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        # component validators raise plain ValueError; keep one error type
+        # at this boundary so callers handle a single class
+        raise ConfigError(str(exc)) from exc
 
 
 # --------------------------------------------------------------------------- #
@@ -316,16 +307,11 @@ def _load_data(config: ExperimentConfig) -> tuple[list[Dataset], Dataset]:
     cut = max(config.clients, (pool.size * 4) // 5)
     if cut >= pool.size:
         raise ConfigError("data.subset too small to carve a holdout split")
-    shards = []
-    for i in range(config.clients):
-        rows = range(i, cut, config.clients)
-        shards.append(
-            Dataset(
-                features=pool.features[list(rows)],
-                labels=pool.labels[list(rows)],
-                num_classes=pool.num_classes,
-            )
-        )
+    n = config.clients
+    shards = [
+        Dataset(features=pool.features[i:cut:n], labels=pool.labels[i:cut:n], num_classes=pool.num_classes)
+        for i in range(n)
+    ]
     holdout = Dataset(
         features=pool.features[cut:], labels=pool.labels[cut:], num_classes=pool.num_classes
     )
@@ -334,22 +320,7 @@ def _load_data(config: ExperimentConfig) -> tuple[list[Dataset], Dataset]:
 
 def build_simulation(config: ExperimentConfig) -> Simulation:
     shards, holdout = _load_data(config)
-    num_features = shards[0].num_features
-    num_classes = shards[0].num_classes
-    architecture = _architecture(config, num_features, num_classes)
-
-    attack = config.attack
-    client_ids = [f"client-{i}" for i in range(config.clients)]
-    compromised: frozenset[str] = frozenset()
-    if attack.kind in (
-        adversary.ATTACK_MODEL_POISON,
-        adversary.ATTACK_DATA_POISON,
-        adversary.ATTACK_TAMPER,
-    ):
-        compromised = adversary.choose_compromised(client_ids, attack.fraction, attack.seed)
-    if attack.kind == adversary.ATTACK_DATA_POISON and compromised and num_classes < 2:
-        raise ConfigError(f"attack.kind = data-poison flips labels, so it needs two classes, got {num_classes}")
-
+    architecture = _architecture(config, shards[0].num_features, shards[0].num_classes)
     server = Server.create(
         architecture,
         key_seed=crypto.derive_seed(config.seed, "server-key"),
@@ -357,12 +328,9 @@ def build_simulation(config: ExperimentConfig) -> Simulation:
         security=config.security,
     )
     clients: list[ClientActor] = []
-    for i, cid in enumerate(client_ids):
-        shard = shards[i]
-        if attack.kind == adversary.ATTACK_DATA_POISON and cid in compromised:
-            shard = adversary.flip_labels(shard, 1.0, crypto.derive_seed(attack.seed, cid))
+    for i, shard in enumerate(shards):
         client = ClientActor.create(
-            cid,
+            f"client-{i}",
             shard,
             architecture,
             config.train,
@@ -370,33 +338,14 @@ def build_simulation(config: ExperimentConfig) -> Simulation:
             key_bits=config.crypto.key_bits,
             encrypt=config.encrypt,
         )
-        if attack.kind == adversary.ATTACK_MODEL_POISON and cid in compromised:
-            client.compromise = adversary.make_poison(
-                attack.strength, crypto.derive_seed(attack.seed, cid)
-            )
         server.register(client)
         clients.append(client)
-
-    plan: Optional[AttackPlan] = None
-    if attack.kind == adversary.ATTACK_TAMPER:
-        plan = AttackPlan(kind=attack.kind, seed=attack.seed, compromised=compromised)
-    elif attack.kind == adversary.ATTACK_SYBIL:
-        count = adversary._round_half_up(attack.fraction * config.clients)
-        sybils = adversary.spawn_sybils(
-            count,
-            architecture,
-            config.train,
-            num_features=num_features,
-            num_classes=num_classes,
-            separation=config.data.separation,
-            seed=attack.seed,
-            key_bits=config.crypto.key_bits,
+    try:
+        plan = adversary.arm(
+            config.attack, clients, separation=config.data.separation, key_bits=config.crypto.key_bits
         )
-        plan = AttackPlan(kind=attack.kind, seed=attack.seed, sybils=sybils)
-    elif attack.kind == adversary.ATTACK_REPLAY:
-        per_round = max(1, adversary._round_half_up(attack.fraction * config.clients))
-        plan = AttackPlan(kind=attack.kind, seed=attack.seed, replays_per_round=per_round)
-
+    except ValueError as exc:
+        raise ConfigError(f"attack.kind = {config.attack.kind}: {exc}") from exc
     return Simulation(config=config, server=server, clients=clients, plan=plan, holdout=holdout)
 
 

@@ -8,6 +8,8 @@ payload.
 
 from __future__ import annotations
 
+from dataclasses import replace as dc_replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from attestfl import adversary, crypto, datasets, models
 from attestfl.adversary import (
     AttackConfig,
     AttackPlan,
+    arm,
     choose_compromised,
     flip_labels,
     make_poison,
@@ -25,7 +28,7 @@ from attestfl.adversary import (
 )
 from attestfl.models import TrainingConfig, TrainingError
 from attestfl.params import ParameterVector
-from attestfl.protocol import ClientActor, Delivery, SignedUpdate, client_round
+from attestfl.protocol import ClientActor, Delivery, Server, SignedUpdate, client_round
 
 ARCH = models.logistic_regression(2, 2)
 TRAIN_CFG = TrainingConfig(learning_rate=0.1, epochs=1, batch_size="full", seed=0)
@@ -83,7 +86,7 @@ def test_choose_compromised_is_deterministic_and_subset():
     second = choose_compromised(ids, 0.4, 9)
     assert first == second
     assert first <= set(ids)
-    assert choose_compromised(ids, 0.4, 10) != first or True  # other seeds may differ
+    assert choose_compromised(ids, 0.4, 10) != first  # {c0, c2, c3, c5} against {c6, c7, c8, c9}
 
 
 # ---- poisoning ---- #
@@ -189,13 +192,12 @@ def test_tamper_twice_restores_payload(payload, data):
 
 
 def test_spawn_sybils_zero_is_empty():
-    assert spawn_sybils(0, ARCH, TRAIN_CFG, num_features=2, num_classes=2, separation=6.0, seed=1) == []
+    assert spawn_sybils(0, ARCH, TRAIN_CFG, separation=6.0, seed=1) == []
 
 
 def test_spawn_sybils_have_distinct_identities_and_keys():
     sybils = spawn_sybils(
-        3, ARCH, TRAIN_CFG, num_features=2, num_classes=2, separation=6.0, seed=1,
-        key_bits=1024,
+        3, ARCH, TRAIN_CFG, separation=6.0, seed=1, key_bits=1024,
     )
     assert [s.client_id for s in sybils] == ["sybil-0", "sybil-1", "sybil-2"]
     keys = {s.sig_pair.public.n for s in sybils}
@@ -219,8 +221,10 @@ def make_honest_delivery(seed=500):
 
 
 def test_plan_none_kind_rejected():
-    with pytest.raises(ValueError):
-        AttackPlan(kind="bogus", seed=1)
+    # a plan exists only for the kinds that act on deliveries
+    for kind in ("bogus", "none", "model-poison", "data-poison"):
+        with pytest.raises(ValueError):
+            AttackPlan(kind=kind, seed=1)
 
 
 def test_tamper_plan_rewrites_only_compromised_sources():
@@ -252,8 +256,7 @@ def test_tamper_plan_is_deterministic():
 def test_sybil_plan_appends_fakes():
     delivery = make_honest_delivery()
     sybils = spawn_sybils(
-        2, ARCH, TRAIN_CFG, num_features=2, num_classes=2, separation=6.0, seed=1,
-        key_bits=1024,
+        2, ARCH, TRAIN_CFG, separation=6.0, seed=1, key_bits=1024,
     )
     plan = AttackPlan(kind="sybil", seed=1, sybils=sybils)
     out = plan.transform([delivery], 0, ARCH.params)
@@ -275,3 +278,47 @@ def test_replay_plan_captures_then_resends():
     assert all(not d.honest for d in replayed)
     assert all(d.payload is first.payload for d in replayed)
     assert len(plan.captured) == 2
+
+
+# ---- arming an honest world ---- #
+
+
+@pytest.mark.parametrize("kind", sorted(adversary.ATTACK_KINDS))
+def test_arm_applies_each_kind_to_exactly_the_chosen_clients(kind):
+    shards = datasets.generate_synthetic(
+        num_clients=4, per_client=20, num_features=2, num_classes=2, separation=6.0, seed=8
+    )
+    server = Server.create(ARCH, key_seed=900, key_bits=1024)
+    clients = []
+    for i, shard in enumerate(shards):
+        client = ClientActor.create(f"client-{i}", shard, ARCH, TRAIN_CFG, key_seed=901 + i, key_bits=1024)
+        server.register(client)
+        clients.append(client)
+    # the same registered identities holding one-class shards
+    one_class = [
+        dc_replace(c, data=datasets.Dataset(c.data.features, np.zeros(c.data.size, dtype=int), 1))
+        for c in clients
+    ]
+    attack = AttackConfig(kind=kind, fraction=0.5, seed=3)
+    chosen = choose_compromised([c.client_id for c in clients], 0.5, 3)
+    assert len(chosen) == 2
+
+    plan = arm(attack, clients, separation=6.0, key_bits=1024)
+
+    if kind in ("none", "model-poison", "data-poison"):
+        assert plan is None
+    else:
+        assert plan.kind == kind
+        assert plan.compromised == (chosen if kind == "tamper" else frozenset())
+        assert len(plan.sybils) == (2 if kind == "sybil" else 0)
+        assert plan.replays_per_round == (2 if kind == "replay" else 0)
+    for client, shard in zip(clients, shards):
+        attacked = client.client_id in chosen
+        flipped = not np.array_equal(client.data.labels, shard.labels)
+        assert flipped == (kind == "data-poison" and attacked)
+        assert (client.compromise is not None) == (kind == "model-poison" and attacked)
+    if kind == "data-poison":
+        with pytest.raises(ValueError, match="two classes"):
+            arm(attack, one_class, separation=6.0, key_bits=1024)
+    else:
+        arm(attack, one_class, separation=6.0, key_bits=1024)  # only label flipping needs two classes

@@ -5,7 +5,8 @@ so a change to those types shows up here rather than in a later study.
 The tracer wraps package attributes by name, so a refactor that drops one
 (say a by-name import into `protocol`) shows up here rather than only in a
 minute-long bench run.  A star import of every module checks that each
-`__all__` names only what its module defines.
+`__all__` names only what its module defines, and a scan of the package and
+the scripts checks that none reaches into another module's private names.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,3 +77,16 @@ def test_bench_tracer_resolves_every_wrapped_name():
 def test_star_import_resolves_every_exported_name(module):
     # a name deleted from a module but left in its __all__ raises here
     exec(f"from attestfl.{module} import *", {})
+
+
+def test_no_module_uses_another_modules_private_names():
+    # tests are exempt: they monkeypatch private names on purpose
+    private_use = re.compile(rf"\b(?:{'|'.join(MODULES)})\._[A-Za-z]\w*")
+    paths = sorted([*(ROOT / "src" / "attestfl").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+    found = [
+        f"{path.relative_to(ROOT)}:{lineno}: {use}"
+        for path in paths
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        for use in private_use.findall(line)
+    ]
+    assert found == []
