@@ -196,9 +196,7 @@ def test_spawn_sybils_zero_is_empty():
 
 
 def test_spawn_sybils_have_distinct_identities_and_keys():
-    sybils = spawn_sybils(
-        3, ARCH, TRAIN_CFG, separation=6.0, seed=1, key_bits=1024,
-    )
+    sybils = spawn_sybils(3, ARCH, TRAIN_CFG, separation=6.0, seed=1, key_bits=1024)
     assert [s.client_id for s in sybils] == ["sybil-0", "sybil-1", "sybil-2"]
     keys = {s.sig_pair.public.n for s in sybils}
     assert len(keys) == 3
@@ -255,9 +253,7 @@ def test_tamper_plan_is_deterministic():
 
 def test_sybil_plan_appends_fakes():
     delivery = make_honest_delivery()
-    sybils = spawn_sybils(
-        2, ARCH, TRAIN_CFG, separation=6.0, seed=1, key_bits=1024,
-    )
+    sybils = spawn_sybils(2, ARCH, TRAIN_CFG, separation=6.0, seed=1, key_bits=1024)
     plan = AttackPlan(kind="sybil", seed=1, sybils=sybils)
     out = plan.transform([delivery], 0, ARCH.params)
     assert len(out) == 3
