@@ -356,6 +356,67 @@ def test_keygen_drbg_draws_are_pinned(monkeypatch):
         assert hashlib.sha256(private.to_bytes(41, "big") + public.to_bytes(256, "big")).hexdigest() == pin
 
 
+# SHA-256 of the big-endian bytes of keygen_signature(bits, seed).private.primes,
+# joined in order, for seeds 0..31 at 1024 bits and 0..7 at 2048 bits.  Any
+# change to prime search that moves a key, even at one seed, fails here by
+# seed rather than through a golden digest.
+KEY_PINS = {
+    1024: (
+        "870eb10633c3ee42e67519e9d88ddd1224a1ddfb2d5059f50eba73b4394b80b5",
+        "2bd5b93a3282eb309b252eff86eb119f5b560e5adb96192eba5e7065b88582e0",
+        "021bb53f13a8b7df633f742d931758703c7c6a44799a7aa3db462950b4188970",
+        "b24c95149ecb83befc7b0f8832e66b31383f95764e3eeb5c29dbcf3497bf016a",
+        "ca78e9974a8b87a3e63c44ea064be0c7d16f96c92f818e46bb36a7d622441e57",
+        "2699330439983cf4bf9ede7e5b95cb9d689c32a897bc59484f1fa62b793df6b2",
+        "f5bdbb7c8388d506d476ab0af01fc53bf0cfd3c60d2889276f561361955b7a59",
+        "dc52c76c839acdb1d60b5d8021a6c2c261edb90059c90fd8b872568dd114245e",
+        "fc8fa7f196c9cd9e2f9e7777e398311d85afa158d0036498ffe029d5c8a2b42b",
+        "74676764ea16a17327332ff6a341d17a9badc116109e9ff6ca8f69e5f26edcd6",
+        "6080f99e0654e6e9e81b293f9267f2d2f748f8a9c40fbe961fe15e4fa3fee18a",
+        "3cbf5af8ef3a99872ef85c85f4fc672ab92bedaad0ce8441de8a7a28fe90033e",
+        "1eeefc98fb3165e0369810c83fd547d2468becd7df064b9f091f823f704cd28f",
+        "33e56c8c918c88829c04abe86e2180665f7d681f2858d43cffa3781ec5380acd",
+        "9284bb92c3ac4018d7bc6938209ecbe6c515ea4d556a90eb976a8e719879363e",
+        "75fc2a6762067f539099fa816f03d88704b4b30202adbfadf0c3a997be4d6b6f",
+        "a0f3d3a1fea9fcfdb7f98d0c2ee1199bec2daa0a839b58a719d7cc0aca3e1b3a",
+        "2a64b16020deca07819eee16e9382fd59e4fd1b061c483a1eb64f81e11aea9a5",
+        "c5abf35c69d4348c1d5044b2193f6d620179fd20ae9efe6adcb0ae322a94221a",
+        "28cc621a2c520d1ad583238ba990ce5830100dce29e5bb6195dc90cea910a42b",
+        "281b536ff2f9d70a6650e621e5f3c2d3a49b294a110ef7080814017b7d7bc909",
+        "c4eaba761cf03140403f35f58dd7b4fb904155b179b8384ae011bbad0d61c240",
+        "6926e55b406daf3eaac139c2f7598a3b5de6ade129ad2f239f714df50a348fd2",
+        "a557578a8775c464465a336df43628bb9ac728917fd08d94be0bcb1f324a5552",
+        "df6a208312af47824142ab7ede0a80d0c488208fa44299d2d56c7703457ddf03",
+        "27cd7ec404a91e3f77ba2cf6e1fb4520dcd32a66695e4f4d36105c881a6b21ff",
+        "f600c43f19215e15752cb5f9e22f9d5cd1e26a61ef1f590f850c49185bfee6bb",
+        "5b6981c3e8f598ce7d3706b833b341630beb44e15c694b52693e2c9735454ef3",
+        "fe0f7e75c02fdafb6abd73a947927b1eaf818e844875a0023a59263af5fb5b55",
+        "7af07d25b838688b6d81c877a30b0627e005d276bff8ad9cc1c921363e89fb46",
+        "cbe49f9fe4865ef9c5505206ee87fdce5cb735cf57a7cd42fa29c720fad1a5ff",
+        "7ac9e9b97dcbecacd9c1e92519e23c5758eae9e89f47fff70ac79eb94197666a",
+    ),
+    2048: (
+        "6463997f86c63bda86372a7ba78ee918eed53dd5e1651e4c892ce51526366610",
+        "a3af1aa8fb1186d4c93b8aabe8e974b4c11b88521ac17e19a76548d62426d7ae",
+        "8437d8cb898c8532ab346b785612ecbe5f868284f6aae5a23f7d09debbc017b5",
+        "b5c64b2ec6894c4eb25bf3c92769beea2b052a9fb101d29949cdaead88e8391c",
+        "f99bc42646016f5757728b4a17293eda33c088186be877c643ef5a1377f1cdc3",
+        "c23e4b870551ef0e997ab58887f0b042ba28625bd7487ffff5bc05107950be1d",
+        "acaa5de30c675bb1b7d4530bff60ab900be61e04f6413fbdc8b6f674425089c6",
+        "8ad4710f32ed6822ff5a1a5b7a8592ffba9d9a2ab62fc42d31c1bb37c322e77c",
+    ),
+}
+
+
+@pytest.mark.parametrize("bits", sorted(KEY_PINS))
+def test_keygen_primes_are_pinned(bits):
+    def digest(primes):
+        return hashlib.sha256(b"".join(r.to_bytes((r.bit_length() + 7) // 8, "big") for r in primes)).hexdigest()
+
+    got = tuple(digest(crypto.keygen_signature(bits, seed).private.primes) for seed in range(len(KEY_PINS[bits])))
+    assert got == KEY_PINS[bits]
+
+
 def test_sign_refuses_a_faulty_crt_signature(keypair, monkeypatch):
     priv, pub = keypair.private, keypair.public
     d1, d2, d3 = priv.exponents
