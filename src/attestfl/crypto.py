@@ -12,7 +12,13 @@ RSA keys have three primes, as RFC 8017 §3.2 allows for multi-prime keys;
 three is within the usual limit for 1024- and 2048-bit moduli, though
 FIPS 186-5 approves only two-prime keys.  Signing uses the CRT form over the
 three primes and checks every signature against the public key before
-releasing it.
+releasing it.  Key primes pass trial division and then Miller-Rabin: 12
+computed rounds at the 341- and 342-bit prime sizes of a 1024-bit key and 6
+at the 682- and 683-bit sizes of a 2048-bit key, the fewest for which the
+Damgard-Landrock-Pomerance bound for random candidates is at most 2^-100.
+Every candidate still draws all 40 bases, only so that the DRBG stream and
+every key stay as they were when all 40 rounds were computed
+(`_is_probable_prime` gives the bound and the figures).
 
 Key agreement is Diffie-Hellman in one group, RFC 3526 group 14 (the
 2048-bit MODP prime with generator 2).  Private exponents are 320 bits long
@@ -248,12 +254,40 @@ _SHA256_PREFIX = bytes.fromhex("3031300d060960864801650304020105000420")
 
 _SMALL_PRIMES = [
     p
-    for p in range(3, 2000)
+    for p in range(2, 2000)
     if all(p % q for q in range(2, int(math.isqrt(p)) + 1))
 ]
 
+# Miller-Rabin bases drawn per candidate, one per round, computed or not.
+_MR_BASES = 40
 
-def _is_probable_prime(n: int, rng: _Drbg, rounds: int = 40) -> bool:
+# Rounds computed per candidate size in bits: the least t for which the
+# Damgard-Landrock-Pomerance bound on p_{k,t} is at most 2^-100.  These are the
+# four prime sizes keygen draws; any other size computes all _MR_BASES rounds.
+_MR_ROUNDS = {341: 12, 342: 12, 682: 6, 683: 6}
+
+
+def _is_probable_prime(n: int, rng: _Drbg) -> bool:
+    """Trial division by the primes below 2,000, then Miller-Rabin.
+
+    A candidate of k bits gets t = _MR_ROUNDS[k] computed rounds, the least t
+    for which the Damgard-Landrock-Pomerance bound (Math. Comp. 61, 1993)
+
+        p_{k,t} < k^(3/2) * 2^t * t^(-1/2) * 4^(2 - sqrt(t*k)),
+        valid for k >= 21 and 3 <= t <= k/9,
+
+    is at most 2^-100: 12 rounds at 341 and 342 bits (2^-101.1, 2^-101.3) and
+    6 at 682 and 683 bits (2^-105.1, 2^-105.2).  p_{k,t} bounds the chance
+    that drawing random odd k-bit candidates until one passes t rounds, as
+    _gen_prime does, yields a composite; FIPS 186 sizes its Miller-Rabin round
+    tables by the same analysis.  The bound usually quoted for 40 rounds,
+    4^-40 = 2^-80, holds for any n; these bounds are at least 21 bits tighter.
+    Other sizes compute all _MR_BASES rounds.
+
+    All _MR_BASES bases are drawn either way.  Those past the t-th are drawn
+    only to keep the DRBG stream, and so every key, as it was when all forty
+    rounds were computed; drawing only t would move every key.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -266,8 +300,11 @@ def _is_probable_prime(n: int, rng: _Drbg, rounds: int = 40) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
+    computed = _MR_ROUNDS.get(n.bit_length(), _MR_BASES)
+    for i in range(_MR_BASES):
         a = 2 + rng.take_int(n.bit_length() + 16) % (n - 3)
+        if i >= computed:
+            continue
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -307,6 +307,68 @@ def test_keygen_three_prime_key_matches_rfc8017(bits, seed, monkeypatch):
     assert 0 < t3 < r3 and r1 * r2 * t3 % r3 == 1
 
 
+def _dlp_log2_bound(k: int, t: int) -> float:
+    """log2 of Damgard, Landrock and Pomerance's bound (Math. Comp. 61, 1993)
+    on the chance that a random odd k-bit number passing t Miller-Rabin rounds
+    is composite: p_{k,t} < k^(3/2) * 2^t * t^(-1/2) * 4^(2 - sqrt(t*k)),
+    valid for k >= 21 and 3 <= t <= k/9."""
+    assert k >= 21 and 3 <= t <= k / 9, "outside the theorem's range"
+    return 1.5 * math.log2(k) + t - 0.5 * math.log2(t) + 2 * (2 - math.sqrt(t * k))
+
+
+@pytest.mark.parametrize("k,t", sorted(crypto._MR_ROUNDS.items()))
+def test_miller_rabin_rounds_are_the_fewest_that_meet_2_to_the_minus_100(k, t):
+    assert _dlp_log2_bound(k, t) <= -100
+    assert _dlp_log2_bound(k, t - 1) > -100
+
+
+def test_miller_rabin_round_table_covers_exactly_the_keygen_prime_sizes():
+    assert set(crypto._MR_ROUNDS) == {k for sizes in PRIME_BITS.values() for k in sizes}
+
+
+@pytest.mark.parametrize("k", [100, *sorted(crypto._MR_ROUNDS)])
+def test_miller_rabin_draws_every_base_and_computes_the_tabled_rounds(k, monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    prime = sympy.nextprime(3 << (k - 2))
+    assert prime.bit_length() == k
+    computed, drawn = [], []
+    real_take_int = crypto._Drbg.take_int
+
+    def recording_pow(*args):
+        computed.append(args)
+        return pow(*args)
+
+    def recording_take_int(self, bits):
+        drawn.append(bits)
+        return real_take_int(self, bits)
+
+    monkeypatch.setattr(crypto, "pow", recording_pow, raising=False)
+    monkeypatch.setattr(crypto._Drbg, "take_int", recording_take_int)
+    assert crypto._is_probable_prime(int(prime), crypto._Drbg(b"mr-test", k))
+    assert len(drawn) == crypto._MR_BASES
+    assert len(computed) == crypto._MR_ROUNDS.get(k, crypto._MR_BASES)
+
+
+def test_is_probable_prime_agrees_with_sympy_below_10000():
+    sympy = pytest.importorskip("sympy")
+    rng = crypto._Drbg(b"mr-test", 0)
+    assert [n for n in range(10_000) if crypto._is_probable_prime(n, rng)] == list(sympy.primerange(10_000))
+
+
+def test_is_probable_prime_rejects_products_of_primes_above_2000():
+    sympy = pytest.importorskip("sympy")
+    rng = crypto._Drbg(b"mr-test", 1)
+    small = [sympy.nextprime(2000), sympy.nextprime(2003), sympy.nextprime(7919)]
+    products = [a * b for a in small for b in small] + [math.prod(small), small[0] ** 3]
+    # composites at every tabled size, so the reduced-round path rejects them too
+    for k in sorted(crypto._MR_ROUNDS):
+        p = sympy.nextprime(1 << (k // 2))
+        q = sympy.nextprime((3 << (k - 2)) // p)
+        assert (p * q).bit_length() == k
+        products.append(p * q)
+    assert not any(crypto._is_probable_prime(int(n), rng) for n in products)
+
+
 # (take calls, bytes, SHA-256 of the bytes) that _Drbg.take hands out during
 # keygen_signature(1024, seed) for seeds 0..3 and dh_keygen(seed) for seeds
 # 0..3, then SHA-256 of dh_keygen's private (41 bytes) and public (256 bytes)
