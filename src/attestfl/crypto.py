@@ -261,9 +261,8 @@ _SMALL_PRIMES = [
 # Miller-Rabin bases drawn per candidate, one per round, computed or not.
 _MR_BASES = 40
 
-# Rounds computed per candidate size in bits: the least t for which the
-# Damgard-Landrock-Pomerance bound on p_{k,t} is at most 2^-100.  These are the
-# four prime sizes keygen draws; any other size computes all _MR_BASES rounds.
+# Miller-Rabin rounds computed per candidate size in bits, for the four prime
+# sizes keygen draws; `_is_probable_prime` gives the bound behind each count.
 _MR_ROUNDS = {341: 12, 342: 12, 682: 6, 683: 6}
 
 
