@@ -347,6 +347,39 @@ def test_local_train_bytes_are_pinned(kind, batch_size):
     assert digest.hexdigest() == TRAINING_PINS[(kind, batch_size)]
 
 
+# SHA-256 over `_forward`'s logits, `loss`'s float64 bytes and `gradient`'s
+# values on the TRAINING_PINS shard; see test_forward_loss_gradient_bytes_are_pinned
+FORWARD_PINS = {
+    "logreg": "d23d7445fc173933b54d431fd60cdb0c439c37f6595e99a8667adbd52e5c6f2d",
+    "tanh": "dc8e80fdc3c643849f0778299696994e023bee6bf85eb2b8984dd8a91a86991a",
+    "relu": "aaf85a5f77768cdaf219daf3e0e280b38f2b5d06b6ba6011ae9da012c7f5f34c",
+}
+
+
+@pytest.mark.parametrize("kind", list(FORWARD_PINS))
+def test_forward_loss_gradient_bytes_are_pinned(kind):
+    """Evaluation-path bytes: the logits `evaluate` takes its argmax of, and
+    the loss and gradient, under seeded parameters that are not zero.
+
+    `TRAINING_PINS` see only trained parameters and the golden digests see
+    `evaluate` only as an accuracy, so these pin the rest of the network.
+    The same CPU caveat as `TRAINING_PINS` applies.
+    """
+    shard = generate_synthetic(1, 50, 5, 3, separation=2.0, seed=12)[0]
+    if kind == "logreg":
+        model = models.logistic_regression(5, 3)
+    else:
+        model = models.mlp(5, 3, hidden_width=6, activation=kind, seed=5)
+    layout = model.params.layout
+    drawn = np.random.default_rng(17).standard_normal(layout.size)
+    model = model.with_params(ParameterVector(drawn, layout))
+    logits = models._forward(model, model.params.values, shard.features)[0]
+    digest = hashlib.sha256(logits.tobytes())
+    digest.update(np.float64(models.loss(model, shard)).tobytes())
+    digest.update(models.gradient(model, shard).values.tobytes())
+    assert digest.hexdigest() == FORWARD_PINS[kind]
+
+
 def test_training_runs_one_forward_pass_per_step(monkeypatch):
     calls = []
     forward = models._forward
