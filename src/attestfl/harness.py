@@ -61,7 +61,7 @@ class ModelSpec:
             raise ConfigError(f"unknown model kind {self.kind!r}")
         if self.hidden < 1:
             raise ConfigError("model.hidden must be positive")
-        if self.activation not in ("tanh", "relu"):
+        if self.activation not in models.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
 
 

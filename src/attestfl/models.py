@@ -1,11 +1,15 @@
-"""Local training: multinomial logistic regression and a one-hidden-layer MLP.
+"""Local training: softmax networks whose parameter layout is their architecture.
 
-Everything runs in float64 with analytic gradients.  `_forward` is the one
-definition of the network; each training step runs it once, for the loss and
-the gradient together, on a raw float64 parameter array.  Training is plain
-gradient descent, full batch by default, optional shuffled mini-batches with
-a seeded generator.  The parameter update returned by `local_train` is always
-new parameters minus starting parameters, computed exactly that way.
+Everything runs in float64 with analytic gradients.  A layout is (weight,
+bias) layers, input side first; the activation follows every layer but the
+last, so multinomial logistic regression is the network with no hidden layer.
+Each training step walks the layers once forward (`_forward`) and once back,
+on a raw float64 parameter array, for the loss and the gradient together.  The
+walk holds the module's 3 matrix products: the forward one, the weight
+gradient and the back-propagated delta.  Training is plain gradient descent,
+full batch by default, optional shuffled mini-batches with a seeded generator.
+The update `local_train` returns is always new parameters minus starting
+parameters, computed exactly that way.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
 
 KIND_LOGREG = "logistic-regression"
 KIND_MLP = "mlp"
+ACTIVATIONS = ("tanh", "relu")
 FULL_BATCH = "full"
 
 
@@ -46,6 +51,9 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # a bool is an int: True would step at rate 1.0, for one epoch, in 1-row batches
+        if any(isinstance(value, bool) for value in (self.learning_rate, self.epochs, self.batch_size)):
+            raise ValueError("learning_rate, epochs and batch_size must not be booleans")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be positive and finite")
         if self.epochs < 1:
@@ -58,20 +66,22 @@ class TrainingConfig:
 
 @dataclass(frozen=True)
 class Model:
-    kind: str
+    """A network is its parameters: the layout fixes every width."""
+
     params: ParameterVector
-    num_features: int
-    num_classes: int
-    hidden_width: int | None = None
     activation: str = "tanh"
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_LOGREG, KIND_MLP):
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind == KIND_MLP and (self.hidden_width is None or self.hidden_width < 1):
-            raise ValueError("mlp requires a positive hidden_width")
-        if self.kind == KIND_MLP and self.activation not in ("tanh", "relu"):
+        if self.activation not in ACTIVATIONS:
             raise ValueError("activation must be 'tanh' or 'relu'")
+
+    @property
+    def num_features(self) -> int:
+        return self.params.layout.layers[0][1][1]
+
+    @property
+    def num_classes(self) -> int:
+        return self.params.layout.layers[-1][1][0]
 
     def with_params(self, params: ParameterVector) -> "Model":
         if params.layout != self.params.layout:
@@ -96,13 +106,7 @@ def mlp_layout(num_features: int, num_classes: int, hidden_width: int) -> Parame
 
 def logistic_regression(num_features: int, num_classes: int) -> Model:
     """Zero-initialised softmax regression."""
-    layout = logreg_layout(num_features, num_classes)
-    return Model(
-        kind=KIND_LOGREG,
-        params=ParameterVector.zeros(layout),
-        num_features=num_features,
-        num_classes=num_classes,
-    )
+    return Model(ParameterVector.zeros(logreg_layout(num_features, num_classes)))
 
 
 def mlp(num_features: int, num_classes: int, hidden_width: int, activation: str = "tanh", seed: int = 0) -> Model:
@@ -110,33 +114,33 @@ def mlp(num_features: int, num_classes: int, hidden_width: int, activation: str 
     layout = mlp_layout(num_features, num_classes, hidden_width)
     rng = np.random.default_rng(seed)
     values = np.zeros(layout.size)
-    views = layout.split(values)
-    for name, fan_in in (("w1", num_features), ("w2", hidden_width)):
-        views[name][...] = rng.standard_normal(views[name].shape) / np.sqrt(fan_in)
-    return Model(
-        kind=KIND_MLP,
-        params=ParameterVector(values, layout),
-        num_features=num_features,
-        num_classes=num_classes,
-        hidden_width=hidden_width,
-        activation=activation,
-    )
+    for weight, _ in _layers(layout, values):
+        weight[...] = rng.standard_normal(weight.shape) / np.sqrt(weight.shape[1])
+    return Model(ParameterVector(values, layout), activation)
 
 
 # --------------------------------------------------------------------------- #
-# the network: one forward pass, one loss-and-gradient pass
+# the network: one layer walk forward, the same walk backwards
 # --------------------------------------------------------------------------- #
 
 
-def _forward(model: Model, values: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, tuple | None]:
-    """Logits under the flat parameters `values`, and the MLP's (pre, hidden)
-    activations for backpropagation (None for logistic regression)."""
-    t = model.params.layout.split(values)
-    if model.kind == KIND_LOGREG:
-        return features @ t["weights"].T + t["bias"], None
-    pre = features @ t["w1"].T + t["b1"]
-    hidden = np.tanh(pre) if model.activation == "tanh" else np.maximum(pre, 0.0)
-    return hidden @ t["w2"].T + t["b2"], (pre, hidden)
+def _layers(layout: ParameterLayout, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) views of a flat array, input side first."""
+    views = list(layout.split(values).values())
+    return list(zip(views[::2], views[1::2]))
+
+
+def _forward(model: Model, values: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, list]:
+    """Logits under the flat parameters `values`, and each layer's (weight,
+    input) for backpropagation."""
+    walk = []
+    out = features
+    for weight, bias in _layers(model.params.layout, values):
+        if walk:
+            out = np.tanh(out) if model.activation == "tanh" else np.maximum(out, 0.0)
+        walk.append((weight, out))
+        out = out @ weight.T + bias
+    return out, walk
 
 
 def _loss_and_gradient(
@@ -151,7 +155,7 @@ def _loss_and_gradient(
     n = labels.shape[0]
     rows = np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        logits, cache = _forward(model, values, features)
+        logits, walk = _forward(model, values, features)
         top = logits.max(axis=1, keepdims=True)
         expd = np.exp(logits - top)
         total = expd.sum(axis=1, keepdims=True)
@@ -161,23 +165,18 @@ def _loss_and_gradient(
         delta[rows, labels] -= 1.0
         delta /= n
 
-        layout = model.params.layout
-        grad = np.zeros(layout.size)
-        g = layout.split(grad)
-        if cache is None:
-            g["weights"][...] = delta.T @ features
-            g["bias"][...] = delta.sum(axis=0)
-        else:
-            pre, hidden = cache
-            g["w2"][...] = delta.T @ hidden
-            g["b2"][...] = delta.sum(axis=0)
-            back = delta @ layout.split(values)["w2"]
-            if model.activation == "tanh":
-                back = back * (1.0 - hidden**2)
-            else:
-                back = back * (pre > 0.0)
-            g["w1"][...] = back.T @ features
-            g["b1"][...] = back.sum(axis=0)
+        grad = np.zeros(values.size)
+        grads = _layers(model.params.layout, grad)
+        for depth in range(len(walk) - 1, -1, -1):
+            weight, inputs = walk[depth]
+            g_weight, g_bias = grads[depth]
+            g_weight[...] = delta.T @ inputs
+            g_bias[...] = delta.sum(axis=0)
+            if depth:
+                # the slope of the activation that made `inputs`; relu's is
+                # read off its output, which is positive where its input was
+                back = delta @ weight
+                delta = back * (1.0 - inputs**2) if model.activation == "tanh" else back * (inputs > 0.0)
     return mean_loss, grad
 
 

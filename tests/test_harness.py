@@ -114,6 +114,8 @@ def test_attack_seed_inherits_main_seed():
         ("security = yes", "expected on or off"),
         ("train.batch = 0", "batch"),
         ("model.kind = transformer", "unknown model kind"),
+        ("model.activation = sigmoid", "unknown activation"),
+        ("model.hidden = 0", "model.hidden must be positive"),
         ("attack.kind = ddos", "unknown attack kind"),
         ("crypto.key_bits = 512", "1024 or 2048"),
         ("data.source = idx", "idx_images"),

@@ -89,6 +89,18 @@ def test_parameter_arithmetic_and_layout_guard():
         a.add(other)
 
 
+def test_model_widths_are_read_from_the_layout():
+    logreg = models.logistic_regression(4, 3)
+    assert (logreg.num_features, logreg.num_classes) == (4, 3)
+    net = models.mlp(4, 3, hidden_width=7)
+    assert (net.num_features, net.num_classes) == (4, 3)
+    with pytest.raises(LayoutError):  # before any draw
+        models.mlp(4, 3, hidden_width=0)
+    # every model's activation is checked, not only an MLP's
+    with pytest.raises(ValueError, match="activation"):
+        models.Model(models.logistic_regression(4, 3).params, activation="sigmoid")
+
+
 # --------------------------------------------------------------------------- #
 # forward and loss
 # --------------------------------------------------------------------------- #
@@ -412,6 +424,10 @@ def test_training_config_validation():
         models.TrainingConfig(batch_size=0)
     with pytest.raises(ValueError):
         models.TrainingConfig(batch_size="half")
+    # a bool is an int, but True is not a batch size, an epoch count or a rate
+    for flag in ({"batch_size": True}, {"epochs": True}, {"learning_rate": True}):
+        with pytest.raises(ValueError):
+            models.TrainingConfig(**flag)
 
 
 # --------------------------------------------------------------------------- #
