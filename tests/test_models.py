@@ -96,7 +96,7 @@ def test_model_widths_are_read_from_the_layout():
     assert (net.num_features, net.num_classes) == (4, 3)
     with pytest.raises(LayoutError):  # before any draw
         models.mlp(4, 3, hidden_width=0)
-    # every model's activation is checked, not only an MLP's
+    # a model with no hidden layer still names a known activation
     with pytest.raises(ValueError, match="activation"):
         models.Model(models.logistic_regression(4, 3).params, activation="sigmoid")
 
