@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .datasets import Dataset
-from .params import ParameterLayout, ParameterVector
+from .params import LayoutError, ParameterLayout, ParameterVector
 
 __all__ = [
     "TrainingError",
@@ -74,6 +74,15 @@ class Model:
     def __post_init__(self) -> None:
         if self.activation not in ACTIVATIONS:
             raise ValueError("activation must be 'tanh' or 'relu'")
+        # (weight, bias) layers, each weight taking the previous one's outputs
+        shapes = [tuple(shape) for _, shape in self.params.layout.layers]
+        if not shapes or len(shapes) % 2:
+            raise LayoutError("a model layout is a non-empty run of (weight, bias) layers")
+        outputs = None
+        for weight, bias in zip(shapes[::2], shapes[1::2]):
+            if len(weight) != 2 or bias != weight[:1] or outputs not in (None, weight[1]):
+                raise LayoutError(f"weight {weight} and bias {bias} do not continue the layer chain")
+            outputs = weight[0]
 
     @property
     def num_features(self) -> int:

@@ -5,7 +5,7 @@ One round, from the server's point of view:
   1. broadcast the current global parameters
   2. each client trains locally and returns a signed, attested update
      (optionally sealed under its session key)
-  3. the server checks every message in a fixed order -- decrypt, identity,
+  3. the server checks every message in a fixed order -- identity, unseal,
      digest, signature, freshness, attestation -- and discards anything
      that fails, recording why
   4. surviving updates are combined by a data-size-weighted mean and added
@@ -16,15 +16,15 @@ One round, from the server's point of view:
      exactly as it was.  Accepted outcomes carry their own audit records.
 
 Verification order matters: a forged sender must be rejected as
-unknown-identity even when its payload is internally consistent, and a
-replay must fail freshness before its stale attestation is consulted.
+unknown-identity even when its payload is sealed or internally consistent,
+and a replay must fail freshness before its stale attestation is consulted.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -387,13 +387,17 @@ def client_round(
 def _open(
     msg: SignedUpdate,
     layout,
-    session_key: bytes,
-) -> Optional[tuple[bytes, tuple[int, str, int], ParameterVector]]:
-    """Unseal a sealed payload into (canonical blob, (round, id, size), update).
+    session_key: Optional[bytes],
+) -> Optional[tuple[Optional[bytes], tuple[int, str, int], ParameterVector]]:
+    """Open either payload kind into (sealed blob or None, (round, id, size), update).
 
-    None when the tag fails, the blob does not decode, or its values are the
-    wrong count or not finite.
+    Plaintext comes back under the message's own header.  None when a sealed payload
+    has no key, fails its tag, does not decode, or its values are the wrong count or not finite.
     """
+    if isinstance(msg.update, ParameterVector):
+        return None, (msg.round, msg.client_id, msg.data_size), msg.update
+    if session_key is None:
+        return None
     try:
         blob = crypto.decrypt(session_key, msg.update)
         values, *header = crypto.canonical_decode(blob)
@@ -403,7 +407,7 @@ def _open(
 
 
 def server_verify(
-    registry: Mapping[str, crypto.RsaPublicKey],
+    public: Optional[crypto.RsaPublicKey],
     msg: SignedUpdate,
     *,
     layout,
@@ -411,27 +415,20 @@ def server_verify(
     current_round: int,
     accepted_pairs: frozenset[tuple[str, int]] | set[tuple[str, int]],
 ) -> tuple[str, Optional[ParameterVector]]:
-    """Check one message; returns the reason and, if it is ok, the opened update.
+    """Check one message under its sender's registered key, None if unknown;
+    returns the reason and, if it is ok, the opened update.
 
-    Check order is fixed: unseal, identity, digest, signature, freshness,
+    Check order is fixed: identity, unseal, digest, signature, freshness,
     attestation against DEFAULT_CLIENT_GRAPH for the claimed sender and
     round.  The first failure decides the reason.
     """
-    public = registry.get(msg.client_id)
-    update, blob = msg.update, None
-    if isinstance(update, crypto.CipherEnvelope):
-        if session_key is None:
-            # no key to open it with: the identity check decides first
-            return (REASON_UNKNOWN_IDENTITY if public is None else REASON_DECRYPT_FAILURE), None
-        opened = _open(msg, layout, session_key)
-        # header fields travel in the clear; the sealed blob must agree
-        if opened is None or opened[1] != (msg.round, msg.client_id, msg.data_size):
-            return REASON_DECRYPT_FAILURE, None
-        blob, _, update = opened
-
     if public is None:
         return REASON_UNKNOWN_IDENTITY, None
-
+    opened = _open(msg, layout, session_key)
+    # header fields travel in the clear; a sealed blob must agree
+    if opened is None or opened[1] != (msg.round, msg.client_id, msg.data_size):
+        return REASON_DECRYPT_FAILURE, None
+    blob, _, update = opened
     if blob is None:
         blob = crypto.canonical_encode(update.values, msg.round, msg.client_id, msg.data_size)
     if crypto.sha256(blob) != msg.digest:
@@ -462,21 +459,18 @@ def aggregate(updates: Sequence[tuple[str, int, ParameterVector]]) -> Optional[P
     """
     if not updates:
         return None
-    ordered = sorted(range(len(updates)), key=lambda i: (updates[i][0], i))
-    first_layout = updates[0][2].layout
-    for _, _, update in updates:
-        if update.layout != first_layout:
-            raise AggregationError("updates use different parameter layouts")
+    layout = updates[0][2].layout
+    if any(update.layout != layout for _, _, update in updates):
+        raise AggregationError("updates use different parameter layouts")
     if len(updates) == 1:
         return updates[0][2]
     total = float(sum(size for _, size, _ in updates))
     if total == 0.0:
         raise AggregationError("total data size is zero")
-    acc = np.zeros(first_layout.size, dtype=np.float64)
-    for i in ordered:
-        _, size, update = updates[i]
+    acc = np.zeros(layout.size, dtype=np.float64)
+    for _, size, update in sorted(updates, key=lambda item: item[0]):
         acc += (float(size) / total) * update.values
-    return ParameterVector(acc, first_layout)
+    return ParameterVector(acc, layout)
 
 
 # --------------------------------------------------------------------------- #
@@ -556,13 +550,12 @@ def _ingest(
         try:
             msg = SignedUpdate.from_wire_bytes(bytes(payload), layout)
         except WireFormatError:
-            outcome = MessageOutcome(
+            return MessageOutcome(
                 client_id=delivery.source,
                 reason=REASON_MALFORMED,
                 honest=delivery.honest,
                 attributable=False,
-            )
-            return outcome, None
+            ), None
     else:
         msg = payload
 
@@ -571,7 +564,7 @@ def _ingest(
 
     if server.security:
         reason, update = server_verify(
-            server.registry,
+            public,
             msg,
             layout=layout,
             session_key=session_key,
@@ -580,7 +573,8 @@ def _ingest(
         )
     else:
         # checks disabled: everything that can be opened is taken at face value
-        reason, update = _accept_unverified(msg, layout, session_key)
+        opened = _open(msg, layout, session_key)
+        reason, update = (REASON_DECRYPT_FAILURE, None) if opened is None else (REASON_OK, opened[2])
 
     audit, item = None, None
     if reason == REASON_OK:
@@ -602,20 +596,6 @@ def _ingest(
         audit=audit,
     )
     return outcome, item
-
-
-def _accept_unverified(
-    msg: SignedUpdate,
-    layout,
-    session_key: Optional[bytes],
-) -> tuple[str, Optional[ParameterVector]]:
-    """Security-off path: open the payload if possible, accept whatever it says."""
-    if isinstance(msg.update, ParameterVector):
-        return REASON_OK, msg.update
-    opened = None if session_key is None else _open(msg, layout, session_key)
-    if opened is None:
-        return REASON_DECRYPT_FAILURE, None
-    return REASON_OK, opened[2]
 
 
 def run_round(

@@ -114,7 +114,7 @@ def test_c03_every_single_bit_flip_is_rejected():
         except WireFormatError:
             continue
         reason, update = server_verify(
-            server.registry, parsed,
+            server.registry.get(parsed.client_id), parsed,
             layout=arch.params.layout,
             session_key=server.session_keys.get(parsed.client_id),
             current_round=0, accepted_pairs=set(),
@@ -433,28 +433,52 @@ def test_c10_all_single_mutations_halt():
 # --------------------------------------------------------------------------- #
 
 
-def test_c11_per_client_round_cost_is_flat():
+def test_c11_per_client_round_cost_is_flat(monkeypatch):
+    # the work check: RSA operations per round, counted exactly
+    calls = {"sign": 0, "verify": 0}
+
+    def counted(name):
+        real = getattr(crypto, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(crypto, name, counted(name))
+    work = {}
+
     def per_client_seconds(n):
         cfg = harness.parse_config(
             f"clients = {n}\nrounds = 7\nseed = 9\ndata.per_client = 50\ntrain.epochs = 2\n" + FAST_KEYS
         )
         sim = harness.build_simulation(cfg)
-        times = []
+        times, counts = [], set()
         for _ in range(cfg.rounds):
+            before = dict(calls)
             t0 = time.perf_counter()
             report = run_round(sim.server, sim.clients, plan=sim.plan, eval_data=sim.holdout)
             times.append(time.perf_counter() - t0)
             assert report.accepted_count == n
+            counts.add((calls["sign"] - before["sign"], calls["verify"] - before["verify"]))
+        work[n] = counts
         return min(times) / n
 
     started = time.perf_counter()
     per = {n: per_client_seconds(n) for n in (10, 20, 40)}
     elapsed = time.perf_counter() - started
     ratio = per[40] / per[10]
-    ok = ratio < 1.5 and elapsed < 180.0
+    # signs: each client's update and report, and the server's report; verifies:
+    # one inside each sign, each update, each client trace, each audit record
+    # and the server's own trace
+    exact = all(work[n] == {(2 * n + 1, 5 * n + 2)} for n in per)
+    ok = ratio < 1.5 and elapsed < 180.0 and exact
     assert _verdict(
         11, ok,
         f"per-client round time at N=10/20/40: "
         f"{per[10]*1e3:.2f}/{per[20]*1e3:.2f}/{per[40]*1e3:.2f} ms, "
-        f"ratio {ratio:.2f} (< 1.5), {elapsed:.1f}s (< 180s)",
+        f"ratio {ratio:.2f} (< 1.5), {elapsed:.1f}s (< 180s); "
+        f"(signs, verifies) per round {[sorted(work[n]) for n in per]} (2N+1, 5N+2)",
     )

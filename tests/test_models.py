@@ -94,11 +94,35 @@ def test_model_widths_are_read_from_the_layout():
     assert (logreg.num_features, logreg.num_classes) == (4, 3)
     net = models.mlp(4, 3, hidden_width=7)
     assert (net.num_features, net.num_classes) == (4, 3)
+    deep = ParameterLayout(
+        (("w1", (4, 3)), ("b1", (4,)), ("w2", (5, 4)), ("b2", (5,)), ("w3", (2, 5)), ("b3", (2,)))
+    )
+    deep_net = models.Model(ParameterVector.zeros(deep))
+    assert (deep_net.num_features, deep_net.num_classes) == (3, 2)
     with pytest.raises(LayoutError):  # before any draw
         models.mlp(4, 3, hidden_width=0)
     # a model with no hidden layer still names a known activation
     with pytest.raises(ValueError, match="activation"):
         models.Model(models.logistic_regression(4, 3).params, activation="sigmoid")
+
+
+@pytest.mark.parametrize(
+    "layers",
+    [
+        (),
+        (("w", (3,)),),  # a lone entry: no (weight, bias) pair
+        (("w", (2, 3)),),
+        (("w", (2, 3)), ("b", (2,)), ("v", (2, 2))),  # odd count
+        (("w", (6,)), ("b", (1,))),  # 1-D weight
+        (("w", (2, 3, 1)), ("b", (2,))),  # 3-D weight
+        (("w", (2, 3)), ("b", (3,))),  # bias is not the weight's row count
+        (("w", (2, 3)), ("b", (2, 1))),  # 2-D bias
+        (("w1", (4, 3)), ("b1", (4,)), ("w2", (2, 5)), ("b2", (2,))),  # 5 inputs after 4 outputs
+    ],
+)
+def test_model_rejects_a_layout_that_is_not_a_layer_chain(layers):
+    with pytest.raises(LayoutError):
+        models.Model(ParameterVector.zeros(ParameterLayout(layers)))
 
 
 # --------------------------------------------------------------------------- #

@@ -89,7 +89,7 @@ def honest_message(client, server, round_no=0):
 
 def verify_with(server, msg, round_no=0, accepted=frozenset()):
     return server_verify(
-        server.registry,
+        server.registry.get(msg.client_id),
         msg,
         layout=LAYOUT,
         session_key=server.session_keys.get(msg.client_id),
@@ -395,7 +395,7 @@ def test_verify_sealed_message_without_session_key():
     server, clients = make_world(encrypt=True)
     msg = honest_message(clients[0], server)
     reason, _ = server_verify(
-        server.registry,
+        server.registry.get(msg.client_id),
         msg,
         layout=LAYOUT,
         session_key=None,
@@ -405,23 +405,16 @@ def test_verify_sealed_message_without_session_key():
     assert reason == reporting.REASON_DECRYPT_FAILURE
 
 
-def test_identity_check_precedes_payload_checks():
+@pytest.mark.parametrize("encrypt", [False, True], ids=["plaintext", "sealed"])
+def test_identity_check_precedes_payload_checks(encrypt):
     from dataclasses import replace as dc_replace
 
-    server, _ = make_world()
-    outsider = ClientActor.create(
-        "outsider",
-        SHARDS[0],
-        ARCH,
-        TRAIN_CFG,
-        key_seed=903,
-        key_bits=1024,
-    )
-    msg = client_round(outsider, server.state.params, 0)
-    # even with a broken digest, the unknown sender is reported first
-    mangled = dc_replace(msg, digest=bytes(32))
-    reason, _ = verify_with(server, mangled)
-    assert reason == reporting.REASON_UNKNOWN_IDENTITY
+    server, clients = make_world(encrypt=encrypt)
+    msg = honest_message(clients[0], server)
+    # a name the server does not know, on a broken digest and, when sealed,
+    # with no key to open it: the unknown sender is reported first
+    mangled = dc_replace(msg, client_id="outsider", digest=bytes(32))
+    assert verify_with(server, mangled) == (reporting.REASON_UNKNOWN_IDENTITY, None)
 
 
 def test_freshness_check_precedes_attestation():
@@ -463,6 +456,17 @@ def test_aggregate_is_order_independent():
     forward = aggregate(items)
     backward = aggregate(list(reversed(items)))
     assert forward.values.tobytes() == backward.values.tobytes()
+
+
+def test_aggregate_folds_equal_ids_in_arrival_order():
+    # a security-off replay delivers one client id more than once; the float
+    # sum of 1e16, -1e16 and 1 keeps the 1 only when it comes last
+    items = [("c", 1, vector(x, 0, 0, 0, 0, 0)) for x in (1e16, -1e16, 1.0)]
+    acc = np.zeros(6)
+    for _, _, update in items:
+        acc += (1.0 / 3.0) * update.values
+    assert aggregate(items).values.tobytes() == acc.tobytes()
+    assert aggregate(items[::-1]).values[0] != acc[0]
 
 
 def test_aggregate_rejects_zero_total_weight():
