@@ -7,6 +7,7 @@ header and row count the format promises.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 import numpy as np
@@ -434,6 +435,26 @@ def test_cli_runs_and_prints_table(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + 2 + 1  # header, one row per round, summary
+
+
+# the printed table has no timing column, so its bytes are pinned whole: the
+# tamper run's summary is a mean of unequal rounds, the sybil run's a total
+@pytest.mark.parametrize(
+    "attack, digest",
+    [
+        (["--attack", "tamper"], "0c6b232e87792bd4fc4975f2f5ea7497e362e3aacea4049d45b675b92b3f7ffa"),
+        (
+            ["--attack", "sybil", "--security", "off"],
+            "7c4949c827e64a244dc0140c8b03860282ed816a87174d098d0c377a9767e4f2",
+        ),
+    ],
+)
+def test_cli_stdout_bytes_are_pinned(tmp_path, capsys, attack, digest):
+    conf = tmp_path / "pin.conf"
+    conf.write_text("crypto.key_bits = 1024\ndata.per_client = 30\ntrain.epochs = 1\ndata.separation = 1.0\n")
+    code = cli.main(["--config", str(conf), "--rounds", "3", "--clients", "3", "--seed", "3", *attack])
+    assert code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_cli_unwritable_out_prints_table_then_exits_one(tmp_path, capsys):
