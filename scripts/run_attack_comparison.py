@@ -28,7 +28,7 @@ def run(kind: str, security: str, args) -> harness.MetricsTable:
         attack.strength = {args.strength}
         """
     )
-    return harness.run_experiment(cfg)
+    return harness.run_experiment(harness.build_simulation(cfg))
 
 
 def mean_accepted(table: harness.MetricsTable) -> float:

@@ -31,19 +31,16 @@ def main() -> int:
         encrypt = {'on' if args.encrypt else 'off'}
         """
     )
-    table = harness.run_experiment(cfg)
+    table = harness.run_experiment(harness.build_simulation(cfg))
 
-    print(f"{'round':>6} {'verified%':>10} {'auth%':>8} {'incidents':>10} {'accuracy':>9} {'ms':>7}")
-    for r in table.reports:
+    rows = table.rows()
+    print(f"{'round':>7} {'verified%':>10} {'auth%':>8} {'incidents':>10} {'accuracy':>9} {'ms':>7}")
+    for label, verification, authentication, incidents, accuracy, duration_s in rows:
         print(
-            f"{r.round:>6} {r.verification_rate:>10.1f} {r.authentication_rate:>8.1f} "
-            f"{r.non_repudiation_incidents:>10} {r.accuracy:>9.4f} {r.duration_s * 1000:>7.1f}"
+            f"{label:>7} {verification:>10.1f} {authentication:>8.1f} "
+            f"{incidents:>10} {accuracy:>9.4f} {duration_s * 1000:>7.1f}"
         )
-    clean = all(
-        r.verification_rate == 100.0 and r.authentication_rate == 100.0
-        and r.non_repudiation_incidents == 0
-        for r in table.reports
-    )
+    clean = all(row[1:4] == (100.0, 100.0, 0) for row in rows)
     print(f"\nfinal accuracy {table.final_accuracy:.4f}; all rounds clean: {clean}")
     if args.out:
         reporting.emit_csv(table, args.out)

@@ -76,17 +76,8 @@ def _fmt(value: Optional[float]) -> str:
 
 def _print_table(table: MetricsTable) -> None:
     print(f"{'round':>7}  {'verified%':>9}  {'auth%':>9}  {'incidents':>9}  {'accuracy':>8}")
-    for report in table.reports:
-        print(
-            f"{report.round:>7}  {_fmt(report.verification_rate):>9}  "
-            f"{_fmt(report.authentication_rate):>9}  {report.non_repudiation_incidents:>9}  "
-            f"{report.accuracy:>8.4f}"
-        )
-    print(
-        f"{'summary':>7}  {_fmt(table.mean_rate('verification_rate')):>9}  "
-        f"{_fmt(table.mean_rate('authentication_rate')):>9}  {table.total_incidents:>9}  "
-        f"{table.final_accuracy:>8.4f}"
-    )
+    for label, verification, authentication, incidents, accuracy, _ in table.rows():
+        print(f"{label:>7}  {_fmt(verification):>9}  {_fmt(authentication):>9}  {incidents:>9}  {accuracy:>8.4f}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -105,7 +96,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = harness.parse_config(text, overrides=_overrides(args))
         # data files are read, and can be rejected, only when the run starts
-        table = harness.run_experiment(config)
+        table = harness.run_experiment(harness.build_simulation(config))
     except ConfigError as exc:
         print(f"attestfl: config error: {exc}", file=sys.stderr)
         return 1

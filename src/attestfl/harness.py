@@ -349,15 +349,15 @@ def build_simulation(config: ExperimentConfig) -> Simulation:
     return Simulation(config=config, server=server, clients=clients, plan=plan, holdout=holdout)
 
 
-def run_experiment(config: ExperimentConfig) -> MetricsTable:
-    """Build and run the full experiment; `reporting.emit_csv` writes its table.
+def run_experiment(sim: Simulation) -> MetricsTable:
+    """Run a built world for its configured rounds; the one multi-round loop.
 
-    A server-side abort stops the run early; whatever rounds completed are
-    kept and the table carries the abort reason.
+    `reporting.emit_csv` writes the table it returns.  A server-side abort
+    stops the run early; whatever rounds completed are kept and the table
+    carries the abort reason.
     """
-    sim = build_simulation(config)
-    table = MetricsTable(client_count=config.clients)
-    for _ in range(config.rounds):
+    table = MetricsTable(client_count=sim.config.clients)
+    for _ in range(sim.config.rounds):
         try:
             report = protocol.run_round(
                 sim.server, sim.clients, plan=sim.plan, eval_data=sim.holdout

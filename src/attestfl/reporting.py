@@ -149,10 +149,24 @@ class MetricsTable:
     def total_incidents(self) -> int:
         return sum(r.non_repudiation_incidents for r in self.reports)
 
-    def mean_rate(self, attr: str) -> Optional[float]:
-        """Mean of one rate attribute over the rounds that define it, else None."""
-        values = [getattr(r, attr) for r in self.reports if getattr(r, attr) is not None]
-        return sum(values) / len(values) if values else None
+    def rows(self) -> list[tuple]:
+        """Per round `(round, verification, authentication, incidents, accuracy,
+        duration_s)`, then `("summary", mean of each rate over the rounds that
+        define it or None, total incidents, final accuracy, total duration)`.
+        The CSV and the CLI both print these; an empty table raises ValueError.
+        """
+        rows = [
+            (r.round, r.verification_rate, r.authentication_rate,
+             r.non_repudiation_incidents, r.accuracy, r.duration_s)
+            for r in self.reports
+        ]
+
+        def mean(column: int) -> Optional[float]:
+            values = [row[column] for row in rows if row[column] is not None]
+            return sum(values) / len(values) if values else None
+
+        total_duration = sum(row[5] for row in rows)
+        return rows + [("summary", mean(1), mean(2), self.total_incidents, self.final_accuracy, total_duration)]
 
 
 def _fmt_rate(value: Optional[float]) -> str:
@@ -160,38 +174,18 @@ def _fmt_rate(value: Optional[float]) -> str:
 
 
 def emit_csv(table: MetricsTable, path: str) -> None:
-    """Write one row per round plus a closing summary row.
+    """Write `table.rows()` under `CSV_HEADER`, rates as `repr` or "na".
 
-    All fields except duration_ms are deterministic for a fixed table; the
-    duration column carries measured wall-clock time.
+    An empty table raises ValueError before the file is opened.  Every field
+    but duration_ms is deterministic for a fixed table; that column carries
+    measured wall-clock time.
     """
-    if not table.reports:
-        raise ValueError("cannot emit an empty table")
+    rows = table.rows()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
-        for report in table.reports:
-            writer.writerow(
-                [
-                    report.round,
-                    table.client_count,
-                    _fmt_rate(report.verification_rate),
-                    _fmt_rate(report.authentication_rate),
-                    report.non_repudiation_incidents,
-                    repr(report.accuracy),
-                    round(report.duration_s * 1000),
-                ]
-            )
-        writer.writerow(
-            [
-                "summary",
-                table.client_count,
-                _fmt_rate(table.mean_rate("verification_rate")),
-                _fmt_rate(table.mean_rate("authentication_rate")),
-                table.total_incidents,
-                repr(table.final_accuracy),
-                round(sum(r.duration_s for r in table.reports) * 1000),
-            ]
-        )
+        for label, *rates, incidents, accuracy, duration_s in rows:
+            rates = [_fmt_rate(rate) for rate in rates]
+            writer.writerow([label, table.client_count, *rates, incidents, repr(accuracy), round(duration_s * 1000)])
         if table.aborted:
             fh.write(f"# aborted: {table.aborted}\n")

@@ -193,7 +193,7 @@ def test_c06_verification_preserves_accuracy_under_insider_poison():
         acc = {}
         for label, extra in runs:
             cfg = harness.parse_config(base + f"seed = {seed}\n" + extra)
-            acc[label] = harness.run_experiment(cfg).final_accuracy
+            acc[label] = harness.run_experiment(harness.build_simulation(cfg)).final_accuracy
         seed_ok = (
             acc["clean"] - acc["guarded"] <= 0.05
             and acc["guarded"] >= acc["unguarded"]

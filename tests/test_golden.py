@@ -1,7 +1,8 @@
 """Golden-run digests: fixed configs whose observable output is pinned.
 
-Each config is built with `harness.build_simulation` and run round by round
-the way `harness.run_experiment` runs it.  One SHA-256 per config covers:
+Each config is built with `harness.build_simulation` and run by
+`harness.run_experiment`, the loop the command line runs, abort handling
+included.  One SHA-256 per config covers:
 
   - the CSV table without its `duration_ms` column (abort marker included)
   - the digest of every applied aggregate (`state.history`)
@@ -37,7 +38,7 @@ import hashlib
 
 import pytest
 
-from attestfl import adversary, crypto, harness, protocol, reporting
+from attestfl import adversary, crypto, harness, reporting
 
 ROUNDS = 3
 
@@ -129,15 +130,8 @@ def golden_digests(kind: str, encrypt: str, security: str, tmp_path) -> tuple[st
         },
     )
     sim = harness.build_simulation(config)
-    wire = WireRecorder(sim.plan)
-    table = reporting.MetricsTable(client_count=config.clients)
-    for _ in range(config.rounds):
-        try:
-            report = protocol.run_round(sim.server, sim.clients, plan=wire, eval_data=sim.holdout)
-        except protocol.ProtocolError as exc:
-            table.aborted = str(exc)
-            break
-        table.reports.append(report)
+    sim.plan = wire = WireRecorder(sim.plan)
+    table = harness.run_experiment(sim)
 
     hasher = hashlib.sha256()
     path = tmp_path / "golden.csv"

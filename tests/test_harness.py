@@ -359,8 +359,8 @@ def test_build_simulation_holdout_is_fifth_of_pool():
 
 def test_run_experiment_is_deterministic_except_duration():
     cfg = parse_config(FAST)
-    a = run_experiment(cfg)
-    b = run_experiment(cfg)
+    a = run_experiment(build_simulation(cfg))
+    b = run_experiment(build_simulation(cfg))
     assert len(a.reports) == len(b.reports) == 2
     for ra, rb in zip(a.reports, b.reports):
         assert ra.accuracy == rb.accuracy
@@ -370,19 +370,46 @@ def test_run_experiment_is_deterministic_except_duration():
 
 
 def test_run_experiment_security_toggle_matches_in_honest_runs():
-    on = run_experiment(parse_config(FAST + "security = on"))
-    off = run_experiment(parse_config(FAST + "security = off"))
+    on = run_experiment(build_simulation(parse_config(FAST + "security = on")))
+    off = run_experiment(build_simulation(parse_config(FAST + "security = off")))
     for ra, rb in zip(on.reports, off.reports):
         assert ra.accuracy == rb.accuracy
 
 
 def test_run_experiment_writes_csv(tmp_path):
     path = tmp_path / "table.csv"
-    table = run_experiment(parse_config(FAST))
+    table = run_experiment(build_simulation(parse_config(FAST)))
     emit_csv(table, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + len(table.reports) + 1
+
+
+def test_run_experiment_keeps_the_rounds_before_an_abort(tmp_path):
+    from dataclasses import replace as dc_replace
+
+    sim = build_simulation(parse_config(FAST, {"security": "off", "rounds": "3"}))
+
+    class Overflow:
+        # a lone 1e308 update is applied in round 1; sent again in round 2,
+        # when no client can train from the model, it overflows
+        huge = None
+
+        def transform(self, deliveries, round_no, params):
+            if self.huge is None:
+                values = np.zeros(params.size)
+                values[0] = 1e308
+                self.huge = dc_replace(deliveries[0].payload, update=dc_replace(params, values=values))
+            resent = dc_replace(self.huge, round=round_no)
+            return [protocol.Delivery(payload=resent, source="client-0", honest=False)]
+
+    sim.plan = Overflow()
+    table = run_experiment(sim)
+    assert [r.round for r in table.reports] == [1]
+    assert table.aborted == "global parameters left the finite range"
+    path = tmp_path / "aborted.csv"
+    emit_csv(table, str(path))
+    assert path.read_text().splitlines()[-1] == "# aborted: global parameters left the finite range"
 
 
 def test_run_experiment_idx_source(tmp_path):
@@ -391,9 +418,8 @@ def test_run_experiment_idx_source(tmp_path):
         FAST
         + f"data.source = idx\ndata.idx_images = {images}\ndata.idx_labels = {labels}\ndata.subset = 40"
     )
-    table = run_experiment(cfg)
-    assert len(table.reports) == 2
     sim = build_simulation(cfg)
+    assert len(run_experiment(sim).reports) == 2
     assert sim.holdout.size == 8  # last fifth of the pool
     assert sum(c.data.size for c in sim.clients) == 32
 

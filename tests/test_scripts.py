@@ -29,7 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(m.name for m in pkgutil.iter_modules(attestfl.__path__) if m.name != "__main__")
 
 # column headers each script must print, where any are pinned
-PRINTED = {"run_scaling_sweep.py": ("setup ms/client", "peak RSS MB")}
+PRINTED = {"run_scaling_sweep.py": ("setup ms/client", "peak RSS MB", "per-client cost ratio")}
 
 
 @pytest.mark.parametrize(
