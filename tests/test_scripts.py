@@ -4,14 +4,17 @@ The scripts read the public report types (`RoundReport`, `MetricsTable`),
 so a change to those types shows up here rather than in a later study.
 The tracer wraps package attributes by name, so a refactor that drops one
 (say a by-name import into `protocol`) shows up here rather than only in a
-minute-long bench run.  A star import of every module checks that each
-`__all__` names only what its module defines, and a scan of the package and
-the scripts checks that none reaches into another module's private names.
+minute-long bench run, and one 100-round worker run must reproduce its
+pinned digest with no misverdict.  A star import of every module checks
+that each `__all__` names only what its module defines, and a scan of the
+package and the scripts checks that none reaches into another module's
+private names.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 import pkgutil
 import re
@@ -71,6 +74,22 @@ def test_bench_tracer_resolves_every_wrapped_name():
     # one key agreement per client, each computing both halves
     assert names.count("crypto.dh_shared") == 2 * config.clients
     assert names.count("crypto.dh_keygen") == 1 + config.clients
+
+
+def test_bench_worker_matches_its_pinned_digest():
+    # the bench's correctness gate on one workload: the package API the
+    # worker calls must still give the pinned bytes and the expected verdicts
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "worker.py"), "run", "--workload", "tamper-16",
+         "--seed", "0", "--seconds", "0", "--min-rounds", "100", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    pinned = json.loads((ROOT / "bench" / "digests.json").read_text())["tamper-16"]["0"]
+    assert result["digest"] == pinned
+    assert result["misverdicts"] == 0
+    assert result["aborted"] is None
 
 
 @pytest.mark.parametrize("module", MODULES)
