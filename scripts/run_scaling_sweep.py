@@ -33,9 +33,11 @@ def measure(n: int, rounds: int, args) -> tuple[float, float]:
     sim = harness.build_simulation(cfg)
     setup = time.perf_counter() - t0
 
-    table = harness.run_experiment(sim)
-    assert table.aborted is None and all(r.accepted_count == n for r in table.reports)
-    return setup, statistics.median(r.duration_s for r in table.reports) / n
+    durations = []
+    for report in harness.run_rounds(sim):
+        assert report.accepted_count == n
+        durations.append(report.duration_s)
+    return setup, statistics.median(durations) / n
 
 
 def main() -> int:

@@ -16,14 +16,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import adversary, crypto, datasets, models, protocol
 from .adversary import AttackConfig, AttackPlan
 from .datasets import Dataset
 from .models import Model, TrainingConfig
 from .protocol import ClientActor, ProtocolError, Server
-from .reporting import MetricsTable
+from .reporting import MetricsTable, RoundReport
 
 __all__ = [
     "ConfigError",
@@ -34,6 +34,7 @@ __all__ = [
     "parse_config",
     "Simulation",
     "build_simulation",
+    "run_rounds",
     "run_experiment",
 ]
 
@@ -349,21 +350,21 @@ def build_simulation(config: ExperimentConfig) -> Simulation:
     return Simulation(config=config, server=server, clients=clients, plan=plan, holdout=holdout)
 
 
-def run_experiment(sim: Simulation) -> MetricsTable:
-    """Run a built world for its configured rounds; the one multi-round loop.
+def run_rounds(sim: Simulation) -> Iterator[RoundReport]:
+    """Yield each configured round's full report as it commits; an abort raises ProtocolError."""
+    for _ in range(sim.config.rounds):
+        yield protocol.run_round(sim.server, sim.clients, plan=sim.plan, eval_data=sim.holdout)
 
-    `reporting.emit_csv` writes the table it returns.  A server-side abort
-    stops the run early; whatever rounds completed are kept and the table
-    carries the abort reason.
+
+def run_experiment(sim: Simulation) -> MetricsTable:
+    """Fold `run_rounds`, the one multi-round loop, into the table that
+    `reporting.emit_csv` writes: each report's figures, without its outcomes.
+    An abort stops the run; the table keeps the rounds before it and the reason.
     """
     table = MetricsTable(client_count=sim.config.clients)
-    for _ in range(sim.config.rounds):
-        try:
-            report = protocol.run_round(
-                sim.server, sim.clients, plan=sim.plan, eval_data=sim.holdout
-            )
-        except ProtocolError as exc:
-            table.aborted = str(exc)
-            break
-        table.reports.append(report)
+    try:
+        for report in run_rounds(sim):
+            table.reports.append(replace(report, outcomes=[]))
+    except ProtocolError as exc:
+        table.aborted = str(exc)
     return table

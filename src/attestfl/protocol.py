@@ -661,6 +661,7 @@ def run_round(
     return RoundReport(
         round=new_state.round,
         outcomes=outcomes,
+        accepted_count=len(accepted),
         verification_rate=verification,
         authentication_rate=authentication,
         non_repudiation_incidents=incidents,

@@ -102,15 +102,12 @@ class MessageOutcome:
 class RoundReport:
     round: int
     outcomes: list[MessageOutcome]
+    accepted_count: int
     verification_rate: Optional[float]
     authentication_rate: Optional[float]
     non_repudiation_incidents: int
     accuracy: float
     duration_s: float
-
-    @property
-    def accepted_count(self) -> int:
-        return sum(1 for o in self.outcomes if o.accepted)
 
 
 def compute_metrics(outcomes: Sequence[MessageOutcome]) -> tuple[Optional[float], Optional[float], int]:
@@ -135,6 +132,7 @@ def compute_metrics(outcomes: Sequence[MessageOutcome]) -> tuple[Optional[float]
 
 @dataclass
 class MetricsTable:
+    """A run's reports; those `harness.run_experiment` keeps carry figures, not outcomes."""
     reports: list[RoundReport] = field(default_factory=list)
     client_count: int = 0
     aborted: Optional[str] = None  # reason text when a run stopped early

@@ -55,10 +55,7 @@ def honest_run():
     cfg = harness.parse_config("rounds = 5\nclients = 4\nseed = 2\n" + FAST_KEYS)
     sim = harness.build_simulation(cfg)
     started = time.perf_counter()
-    reports = [
-        run_round(sim.server, sim.clients, plan=sim.plan, eval_data=sim.holdout)
-        for _ in range(cfg.rounds)
-    ]
+    reports = list(harness.run_rounds(sim))
     elapsed = time.perf_counter() - started
     return sim, reports, elapsed
 
@@ -143,8 +140,7 @@ def test_c04_sybils_are_rejected_by_exact_count():
     sim = harness.build_simulation(cfg)
     assert len(sim.plan.sybils) == 3
     ok = True
-    for _ in range(cfg.rounds):
-        report = run_round(sim.server, sim.clients, plan=sim.plan, eval_data=sim.holdout)
+    for report in harness.run_rounds(sim):
         unknown = sum(1 for o in report.outcomes if o.reason == reporting.REASON_UNKNOWN_IDENTITY)
         ok = ok and unknown == 3 and report.accepted_count == 4
     assert _verdict(
@@ -155,12 +151,11 @@ def test_c04_sybils_are_rejected_by_exact_count():
 def test_c05_replayed_messages_never_reach_aggregation():
     cfg = harness.parse_config("rounds = 5\nclients = 4\nseed = 5\n" + FAST_KEYS)
     sim = harness.build_simulation(cfg)
-    plan = adversary.AttackPlan(kind="replay", seed=5, replays_per_round=25)
+    sim.plan = adversary.AttackPlan(kind="replay", seed=5, replays_per_round=25)
     replayed_total = 0
     replayed_accepted = 0
     honest_accept_ok = True
-    for _ in range(cfg.rounds):
-        report = run_round(sim.server, sim.clients, plan=plan, eval_data=sim.holdout)
+    for report in harness.run_rounds(sim):
         injected = [o for o in report.outcomes if not o.honest]
         replayed_total += len(injected)
         replayed_accepted += sum(1 for o in injected if o.accepted)

@@ -1,8 +1,10 @@
 """Golden-run digests: fixed configs whose observable output is pinned.
 
 Each config is built with `harness.build_simulation` and run by
-`harness.run_experiment`, the loop the command line runs, abort handling
-included.  One SHA-256 per config covers:
+`harness.run_experiment`, the driver the command line runs, abort handling
+included.  The table it returns keeps no outcomes, so the test wraps
+`harness.run_rounds`, the loop that driver folds, and collects each full
+report as it passes through.  One SHA-256 per config covers:
 
   - the CSV table without its `duration_ms` column (abort marker included)
   - the digest of every applied aggregate (`state.history`)
@@ -116,7 +118,7 @@ class WireRecorder:
         return deliveries
 
 
-def golden_digests(kind: str, encrypt: str, security: str, tmp_path) -> tuple[str, str, str]:
+def golden_digests(kind: str, encrypt: str, security: str, tmp_path, monkeypatch) -> tuple[str, str, str]:
     config = harness.parse_config(
         "",
         {
@@ -131,6 +133,15 @@ def golden_digests(kind: str, encrypt: str, security: str, tmp_path) -> tuple[st
     )
     sim = harness.build_simulation(config)
     sim.plan = wire = WireRecorder(sim.plan)
+    reports = []
+    stream = harness.run_rounds
+
+    def collect(sim):
+        for report in stream(sim):
+            reports.append(report)
+            yield report
+
+    monkeypatch.setattr(harness, "run_rounds", collect)
     table = harness.run_experiment(sim)
 
     hasher = hashlib.sha256()
@@ -141,12 +152,12 @@ def golden_digests(kind: str, encrypt: str, security: str, tmp_path) -> tuple[st
         hasher.update(kept.encode() + b"\n")
     for digest in sim.server.state.history:
         hasher.update(digest)
-    for report in table.reports:
+    for report in reports:
         for o in report.outcomes:
             hasher.update(repr((o.client_id, o.reason, o.accepted, o.honest, o.attributable)).encode())
         hasher.update(b"\n")
     verdicts = hasher.hexdigest()
-    for report in table.reports:
+    for report in reports:
         for o in report.outcomes:
             record = o.audit
             assert (record is not None) == o.accepted
@@ -164,8 +175,8 @@ def test_matrix_covers_every_attack_kind():
 
 
 @pytest.mark.parametrize("kind,encrypt,security", sorted(GOLDEN))
-def test_golden_digest(kind, encrypt, security, tmp_path):
-    digest, verdicts, wire = golden_digests(kind, encrypt, security, tmp_path)
+def test_golden_digest(kind, encrypt, security, tmp_path, monkeypatch):
+    digest, verdicts, wire = golden_digests(kind, encrypt, security, tmp_path, monkeypatch)
     assert verdicts == GOLDEN_VERDICTS[(kind, encrypt, security)]
     assert digest == GOLDEN[(kind, encrypt, security)]
     assert wire == GOLDEN_WIRE[(kind, encrypt, security)]
@@ -187,7 +198,7 @@ def test_every_signature_verifies_under_cryptography(kind, encrypt, security, tm
         return signature
 
     monkeypatch.setattr(crypto, "sign", capture)
-    golden_digests(kind, encrypt, security, tmp_path)
+    golden_digests(kind, encrypt, security, tmp_path, monkeypatch)
     # each round, each of the 3 clients signs its update and its report, and
     # the server signs its own report
     assert len(signed) >= ROUNDS * (2 * 3 + 1)

@@ -21,6 +21,7 @@ from attestfl.harness import (
     build_simulation,
     parse_config,
     run_experiment,
+    run_rounds,
 )
 from attestfl.reporting import (
     AuditRecord,
@@ -209,6 +210,7 @@ def make_report(round_no, verification=100.0, authentication=100.0, accuracy=0.9
     return RoundReport(
         round=round_no,
         outcomes=[],
+        accepted_count=0,
         verification_rate=verification,
         authentication_rate=authentication,
         non_repudiation_incidents=0,
@@ -369,6 +371,30 @@ def test_run_experiment_is_deterministic_except_duration():
         assert ra.non_repudiation_incidents == rb.non_repudiation_incidents
 
 
+def test_run_rounds_yields_each_configured_round_with_its_outcomes():
+    reports = list(run_rounds(build_simulation(parse_config(FAST))))
+    assert [r.round for r in reports] == [1, 2]
+    for report in reports:
+        assert [o.client_id for o in report.outcomes] == ["client-0", "client-1", "client-2"]
+        assert all(o.accepted and replay_audit_record(o.audit) for o in report.outcomes)
+        assert report.accepted_count == 3
+
+
+def test_run_experiment_keeps_the_streamed_figures_without_outcomes():
+    cfg = parse_config(FAST, {"attack.kind": "tamper", "rounds": "3"})
+    streamed = list(run_rounds(build_simulation(cfg)))
+    kept = run_experiment(build_simulation(cfg)).reports
+
+    def figures(r):
+        return (r.round, r.accepted_count, r.verification_rate, r.authentication_rate,
+                r.non_repudiation_incidents, r.accuracy)
+
+    assert [figures(r) for r in kept] == [figures(r) for r in streamed]
+    assert [r.accepted_count for r in streamed] == [sum(o.accepted for o in r.outcomes) for r in streamed]
+    assert any(r.accepted_count < len(r.outcomes) for r in streamed)
+    assert all(r.outcomes == [] for r in kept)
+
+
 def test_run_experiment_security_toggle_matches_in_honest_runs():
     on = run_experiment(build_simulation(parse_config(FAST + "security = on")))
     off = run_experiment(build_simulation(parse_config(FAST + "security = off")))
@@ -388,8 +414,6 @@ def test_run_experiment_writes_csv(tmp_path):
 def test_run_experiment_keeps_the_rounds_before_an_abort(tmp_path):
     from dataclasses import replace as dc_replace
 
-    sim = build_simulation(parse_config(FAST, {"security": "off", "rounds": "3"}))
-
     class Overflow:
         # a lone 1e308 update is applied in round 1; sent again in round 2,
         # when no client can train from the model, it overflows
@@ -403,8 +427,17 @@ def test_run_experiment_keeps_the_rounds_before_an_abort(tmp_path):
             resent = dc_replace(self.huge, round=round_no)
             return [protocol.Delivery(payload=resent, source="client-0", honest=False)]
 
-    sim.plan = Overflow()
-    table = run_experiment(sim)
+    def overflowing():
+        sim = build_simulation(parse_config(FAST, {"security": "off", "rounds": "3"}))
+        sim.plan = Overflow()
+        return sim
+
+    stream = run_rounds(overflowing())
+    assert next(stream).round == 1
+    with pytest.raises(protocol.ProtocolError, match="global parameters left the finite range"):
+        next(stream)
+
+    table = run_experiment(overflowing())
     assert [r.round for r in table.reports] == [1]
     assert table.aborted == "global parameters left the finite range"
     path = tmp_path / "aborted.csv"
@@ -504,8 +537,7 @@ def test_cli_overflowing_poison_drops_the_client_each_round(tmp_path):
     config = parse_config(conf.read_text(), cli._overrides(cli.build_parser().parse_args(args)))
     sim = build_simulation(config)
     (poisoned,) = [c for c in sim.clients if c.compromise is not None]
-    for _ in range(config.rounds):
-        report = protocol.run_round(sim.server, sim.clients, plan=sim.plan, eval_data=sim.holdout)
+    for report in run_rounds(sim):
         assert poisoned.client_id not in [o.client_id for o in report.outcomes]
         assert len(report.outcomes) == 2
         # the partial trace ends in the re-entered training phase
