@@ -1,10 +1,10 @@
 """Golden-run digests: fixed configs whose observable output is pinned.
 
 Each config is built with `harness.build_simulation` and run by
-`harness.run_experiment`, the driver the command line runs, abort handling
-included.  The table it returns keeps no outcomes, so the test wraps
-`harness.run_rounds`, the loop that driver folds, and collects each full
-report as it passes through.  One SHA-256 per config covers:
+`harness.run_experiment`, the function the command line runs, abort
+handling included.  The table it returns keeps no outcomes, so the test
+wraps `harness.run_rounds`, the loop that function folds, and collects each
+full report as it passes through.  One SHA-256 per config covers:
 
   - the CSV table without its `duration_ms` column (abort marker included)
   - the digest of every applied aggregate (`state.history`)
